@@ -90,10 +90,6 @@ class RoutingTable:
         self._ids.add(rule.rule_id)
         self._rules.append(rule)
 
-    @property
-    def rules(self) -> list[RoutingRule]:
-        return list(self._rules)
-
     def route(self, msg: CanonicalMessage) -> str:
         best: tuple[int, int] | None = None
         target: str | None = None

@@ -210,8 +210,6 @@ REPLY_TYPES = frozenset(
     {"auth.ok", "auth.denied", "hold.ok", "hold.err", "credit.ok", "credit.err", "commit.ok", "release.ok"}
 )
 
-REGISTRY_VERSION = 1
-
 
 @dataclass(frozen=True)
 class CanonicalMessage:

@@ -52,41 +52,73 @@ class SagaState(Enum):
     COMPLETED = "COMPLETED"
     FAILED = "FAILED"
 
+    # members are singletons: hash by identity, not Enum's Python-level hash of the name
+    __hash__ = object.__hash__
+
 
 TERMINAL_STATES = frozenset({SagaState.COMPLETED, SagaState.FAILED})
 
+# the transition table for replies and submission; every entry changes state
+_TRANSITIONS = {
+    (SagaState.CREATED, "submitted"): SagaState.AUTH_PENDING,
+    (SagaState.AUTH_PENDING, "auth.ok"): SagaState.HOLD_PENDING,
+    (SagaState.AUTH_PENDING, "auth.denied"): SagaState.FAILED,
+    (SagaState.HOLD_PENDING, "hold.ok"): SagaState.CREDIT_PENDING,
+    (SagaState.HOLD_PENDING, "hold.err"): SagaState.FAILED,
+    (SagaState.CREDIT_PENDING, "credit.ok"): SagaState.COMMIT_PENDING,
+    (SagaState.CREDIT_PENDING, "credit.err"): SagaState.COMPENSATING,
+    (SagaState.COMMIT_PENDING, "commit.ok"): SagaState.COMPLETED,
+    (SagaState.COMPENSATING, "release.ok"): SagaState.FAILED,
+}
+
+# where the last allowed timeout of a capped command leads, and the reason it records
+_TIMEOUT_EXHAUSTED = {
+    SagaState.AUTH_PENDING: (SagaState.FAILED, "auth_timeout"),
+    SagaState.HOLD_PENDING: (SagaState.FAILED, "hold_timeout"),
+    SagaState.CREDIT_PENDING: (SagaState.COMPENSATING, "compensated:credit_timeout"),
+}
+
 # states whose outstanding command is retried forever rather than capped
 _UNBOUNDED_RETRY = frozenset({SagaState.COMMIT_PENDING, SagaState.COMPENSATING})
+
+# the command a saga has outstanding in each non-terminal state
+_OUTSTANDING_TYPE = {
+    SagaState.AUTH_PENDING: "authorize.cmd",
+    SagaState.HOLD_PENDING: "hold.cmd",
+    SagaState.CREDIT_PENDING: "credit.cmd",
+    SagaState.COMMIT_PENDING: "commit.cmd",
+    SagaState.COMPENSATING: "release.cmd",
+}
+
+# the replies each state waits for; anything else is stale
+_REPLY_FOR_STATE = {
+    SagaState.AUTH_PENDING: ("auth.ok", "auth.denied"),
+    SagaState.HOLD_PENDING: ("hold.ok", "hold.err"),
+    SagaState.CREDIT_PENDING: ("credit.ok", "credit.err"),
+    SagaState.COMMIT_PENDING: ("commit.ok",),
+    SagaState.COMPENSATING: ("release.ok",),
+}
+
+# journal state names to states, without Enum's by-value lookup
+_STATE_BY_NAME = {state.value: state for state in SagaState}
 
 
 def next_state(state: SagaState, event: dict) -> SagaState:
     """The transition table; raises IllegalTransition off the table."""
     kind = event["kind"]
-    if kind in ("stale", "recovered"):
-        return state
     if kind == "timeout":
         if state in _UNBOUNDED_RETRY:
             return state
-        if state not in (SagaState.AUTH_PENDING, SagaState.HOLD_PENDING, SagaState.CREDIT_PENDING):
+        exhausted = _TIMEOUT_EXHAUSTED.get(state)
+        if exhausted is None:
             raise IllegalTransition(f"timeout in {state.value}")
-        if event["n"] < RETRY_LIMIT:
-            return state
-        return SagaState.COMPENSATING if state is SagaState.CREDIT_PENDING else SagaState.FAILED
-    table = {
-        (SagaState.CREATED, "submitted"): SagaState.AUTH_PENDING,
-        (SagaState.AUTH_PENDING, "auth.ok"): SagaState.HOLD_PENDING,
-        (SagaState.AUTH_PENDING, "auth.denied"): SagaState.FAILED,
-        (SagaState.HOLD_PENDING, "hold.ok"): SagaState.CREDIT_PENDING,
-        (SagaState.HOLD_PENDING, "hold.err"): SagaState.FAILED,
-        (SagaState.CREDIT_PENDING, "credit.ok"): SagaState.COMMIT_PENDING,
-        (SagaState.CREDIT_PENDING, "credit.err"): SagaState.COMPENSATING,
-        (SagaState.COMMIT_PENDING, "commit.ok"): SagaState.COMPLETED,
-        (SagaState.COMPENSATING, "release.ok"): SagaState.FAILED,
-    }
-    try:
-        return table[(state, kind)]
-    except KeyError:
-        raise IllegalTransition(f"{kind} in {state.value}") from None
+        return state if event["n"] < RETRY_LIMIT else exhausted[0]
+    if kind == "stale" or kind == "recovered":
+        return state
+    to_state = _TRANSITIONS.get((state, kind))
+    if to_state is None:
+        raise IllegalTransition(f"{kind} in {state.value}")
+    return to_state
 
 
 @dataclass
@@ -103,7 +135,6 @@ class Saga:
     fee: Money | None = None
     reason: str = ""
     outstanding_cmd: str | None = None
-    outstanding_type: str | None = None
     timeouts: int = 0
 
     @property
@@ -117,6 +148,61 @@ def _money_json(m: Money) -> dict:
 
 def _money_from(d: dict) -> Money:
     return Money(d["ccy"], d["minor"])
+
+
+def apply(saga: Saga, event: dict) -> SagaState:
+    """Move a saga by one event and return its new state.
+
+    The one transition path of the live engine, recovery and replay: it
+    sets state, reason, fee and the timeout count, and journals and emits
+    nothing. Raises IllegalTransition off the table.
+    """
+    from_state = saga.state
+    to_state = next_state(from_state, event)
+    kind = event["kind"]
+    if kind == "timeout":
+        saga.timeouts = event["n"]
+        if to_state is not from_state:
+            saga.reason = _TIMEOUT_EXHAUSTED[from_state][1]
+            if to_state is SagaState.COMPENSATING:
+                saga.timeouts = 0  # the release counts its own timeouts
+    elif to_state is not from_state:
+        saga.timeouts = 0
+        if kind == "auth.ok":
+            saga.fee = _money_from(event["fee"])
+        elif kind == "credit.err":
+            saga.reason = f"compensated:{event['reason']}"
+        elif kind == "auth.denied" or kind == "hold.err":
+            saga.reason = event["reason"]
+    saga.state = to_state
+    return to_state
+
+
+def saga_row(saga: Saga) -> dict:
+    """A saga as the run report lists it, and as replay rebuilds it."""
+    return {
+        "saga": saga.saga_id,
+        "kind": saga.kind,
+        "client_ref": saga.client_ref,
+        "state": saga.state.value,
+        "reason": saga.reason,
+        "from": render_party(saga.source),
+        "to": render_party(saga.destination),
+        "amount": _money_json(saga.amount),
+        "fee": _money_json(saga.fee) if saga.fee is not None else None,
+    }
+
+
+def _command_body(saga: Saga, msg_type: str) -> dict:
+    """A command's body; a retry or re-emission rebuilds it under the same id."""
+    if msg_type == "authorize.cmd":
+        return {"saga": saga.saga_id, "op": saga.kind, "party": saga.source, "amount": saga.amount}
+    if msg_type == "credit.cmd":
+        return {"saga": saga.saga_id, "party": saga.destination, "amount": saga.amount}
+    if msg_type == "commit.cmd":
+        return {"saga": saga.saga_id, "party": saga.source, "amount": saga.amount, "fee": saga.fee}
+    # hold.cmd earmarks amount plus fee at the source; release.cmd frees all of it
+    return {"saga": saga.saga_id, "party": saga.source, "amount": saga.amount + saga.fee}
 
 
 class Journal:
@@ -139,6 +225,12 @@ class Journal:
             self._fh.write(json.dumps(record, separators=(",", ":")) + "\n")
             self._fh.flush()
             os.fsync(self._fh.fileno())
+
+    def durability(self) -> dict:
+        """Where records go and when they are forced to disk."""
+        if self.path is None:
+            return {"backing": "memory", "fsync": "off"}
+        return {"backing": "file", "fsync": "record"}
 
     def close(self) -> None:
         if self._fh is not None:
@@ -178,22 +270,23 @@ def truncate_last_record(path: str) -> None:
 
 
 def fold_records(records: list[dict]) -> dict[str, Saga]:
-    """Rebuild saga objects by replaying records through the transition table."""
+    """Rebuild saga objects by replaying records through `apply`, checking each against it."""
     sagas: dict[str, Saga] = {}
     for record in records:
         saga_id = record["saga"]
         event = record["event"]
-        kind = event["kind"]
         try:
-            from_state = SagaState(record["from_state"])
-            to_state = SagaState(record["to_state"])
-        except ValueError as exc:
-            raise CorruptJournal(f"seq {record['seq']}: {exc}") from None
+            from_state = _STATE_BY_NAME[record["from_state"]]
+            to_state = _STATE_BY_NAME[record["to_state"]]
+        except (KeyError, TypeError):
+            raise CorruptJournal(
+                f"seq {record['seq']}: unknown state in {record['from_state']!r} -> {record['to_state']!r}"
+            ) from None
         saga = sagas.get(saga_id)
         if saga is None:
-            if kind != "submitted":
-                raise CorruptJournal(f"seq {record['seq']}: {saga_id} begins with {kind}")
-            saga = Saga(
+            if event["kind"] != "submitted":
+                raise CorruptJournal(f"seq {record['seq']}: {saga_id} begins with {event['kind']}")
+            saga = sagas[saga_id] = Saga(
                 saga_id=saga_id,
                 kind=event["msg_type"],
                 client_ref=event["client_ref"],
@@ -203,57 +296,23 @@ def fold_records(records: list[dict]) -> dict[str, Saga]:
                 destination=parse_party(event["to"]),
                 amount=_money_from(event["amount"]),
             )
-            sagas[saga_id] = saga
         if saga.state is not from_state:
             raise CorruptJournal(
                 f"seq {record['seq']}: {saga_id} is in {saga.state.value}, record says {record['from_state']}"
             )
         try:
-            expected = next_state(saga.state, event)
+            expected = apply(saga, event)
         except IllegalTransition as exc:
             raise CorruptJournal(f"seq {record['seq']}: {exc}") from None
         if expected is not to_state:
             raise CorruptJournal(
-                f"seq {record['seq']}: {kind} in {record['from_state']} goes to {expected.value}, record says {record['to_state']}"
+                f"seq {record['seq']}: {event['kind']} in {record['from_state']} goes to {expected.value}, record says {record['to_state']}"
             )
-        if kind == "auth.ok":
-            saga.fee = _money_from(event["fee"])
-        elif kind == "auth.denied":
-            saga.reason = event["reason"]
-        elif kind == "hold.err":
-            saga.reason = event["reason"]
-        elif kind == "credit.err":
-            saga.reason = f"compensated:{event['reason']}"
-        elif kind == "timeout":
-            saga.timeouts = event["n"]
-            if to_state is SagaState.FAILED:
-                saga.reason = f"{'auth' if from_state is SagaState.AUTH_PENDING else 'hold'}_timeout"
-            elif to_state is SagaState.COMPENSATING and from_state is not to_state:
-                saga.reason = "compensated:credit_timeout"
-        if to_state is not from_state:
-            saga.timeouts = 0 if kind != "timeout" else saga.timeouts
-        if kind == "timeout" and to_state is SagaState.COMPENSATING and from_state is SagaState.CREDIT_PENDING:
-            saga.timeouts = 0
-        if kind == "credit.err":
-            saga.timeouts = 0
-        saga.state = to_state
-        if saga.terminal:
+        if expected in TERMINAL_STATES:
             saga.outstanding_cmd = None
-            saga.outstanding_type = None
         elif record["cmds"]:
             saga.outstanding_cmd = record["cmds"][0]
-            saga.outstanding_type = _outstanding_type_for(to_state)
     return sagas
-
-
-def _outstanding_type_for(state: SagaState) -> str:
-    return {
-        SagaState.AUTH_PENDING: "authorize.cmd",
-        SagaState.HOLD_PENDING: "hold.cmd",
-        SagaState.CREDIT_PENDING: "credit.cmd",
-        SagaState.COMMIT_PENDING: "commit.cmd",
-        SagaState.COMPENSATING: "release.cmd",
-    }[state]
 
 
 class ProcessEngine:
@@ -334,8 +393,7 @@ class ProcessEngine:
         self._advance(saga, event)
 
     def _stale(self, saga: Saga, about: str) -> None:
-        self._journal(saga, {"kind": "stale", "about": about}, saga.state, [])
-        self.journal.settled_seq = self.journal.seq
+        self._advance(saga, {"kind": "stale", "about": about})
 
     def on_timeout(self, saga_id: str, cmd_id: str) -> None:
         saga = self.sagas.get(saga_id)
@@ -343,77 +401,52 @@ class ProcessEngine:
             return  # stale timer, nothing outstanding under that id
         self._advance(saga, {"kind": "timeout", "cmd": cmd_id, "n": saga.timeouts + 1})
 
-    # -- the one transition path ----------------------------------------
+    # -- the live side of the one transition path ------------------------
 
     def _advance(self, saga: Saga, event: dict) -> None:
         from_state = saga.state
-        to_state = next_state(from_state, event)
-        kind = event["kind"]
-
-        if kind == "auth.ok":
-            saga.fee = _money_from(event["fee"])
-        elif kind == "auth.denied":
-            saga.reason = event["reason"]
-        elif kind == "hold.err":
-            saga.reason = event["reason"]
-        elif kind == "credit.err":
-            saga.reason = f"compensated:{event['reason']}"
-        elif kind == "timeout":
-            saga.timeouts = event["n"]
-            if to_state is SagaState.FAILED:
-                saga.reason = f"{'auth' if from_state is SagaState.AUTH_PENDING else 'hold'}_timeout"
-            elif to_state is SagaState.COMPENSATING:
-                saga.reason = "compensated:credit_timeout"
-
-        emissions = self._emissions(saga, event, from_state, to_state)
-        self._journal(saga, event, to_state, [m.message_id for m in emissions])
-        saga.state = to_state
-        if to_state is not from_state:
-            if kind != "timeout" or to_state is SagaState.COMPENSATING:
-                saga.timeouts = 0
-        if saga.terminal:
-            saga.outstanding_cmd = None
-            saga.outstanding_type = None
-        for m in emissions:
-            if m.msg_type != "saga.result":
-                saga.outstanding_cmd = m.message_id
-                saga.outstanding_type = m.msg_type
-        for m in emissions:
-            self.emit(m)
-            if m.msg_type != "saga.result":
+        to_state = apply(saga, event)
+        msg = self._emission(saga, event["kind"], from_state, to_state)
+        self.journal.append(
+            {
+                "tick": self.now(),
+                "saga": saga.saga_id,
+                "from_state": from_state.value,
+                "event": event,
+                "to_state": to_state.value,
+                "cmds": [] if msg is None else [msg.message_id],
+            }
+        )
+        if msg is not None:
+            is_cmd = msg.msg_type != "saga.result"
+            saga.outstanding_cmd = msg.message_id if is_cmd else None
+            self.emit(msg)
+            if is_cmd:
                 window = TIMEOUT_TICKS * (BACKOFF_FACTOR ** saga.timeouts)
-                self.arm_timer(self.now() + window, saga.saga_id, m.message_id)
+                self.arm_timer(self.now() + window, saga.saga_id, msg.message_id)
         self.journal.settled_seq = self.journal.seq
 
-    def _emissions(self, saga: Saga, event: dict, from_state: SagaState, to_state: SagaState) -> list[CanonicalMessage]:
-        kind = event["kind"]
-        if kind == "timeout" and to_state is from_state:
-            return [self._rebuild_outstanding(saga)]
-        if kind == "recovered":
-            return [self._rebuild_outstanding(saga)]
-        if to_state is SagaState.AUTH_PENDING:
-            return [self._cmd(saga, "authorize.cmd", {"saga": saga.saga_id, "op": saga.kind, "party": saga.source, "amount": saga.amount})]
-        if to_state is SagaState.HOLD_PENDING:
-            return [self._cmd(saga, "hold.cmd", {"saga": saga.saga_id, "party": saga.source, "amount": saga.amount + saga.fee})]
-        if to_state is SagaState.CREDIT_PENDING:
-            return [self._cmd(saga, "credit.cmd", {"saga": saga.saga_id, "party": saga.destination, "amount": saga.amount})]
-        if to_state is SagaState.COMMIT_PENDING:
-            return [self._cmd(saga, "commit.cmd", {"saga": saga.saga_id, "party": saga.source, "amount": saga.amount, "fee": saga.fee})]
-        if to_state is SagaState.COMPENSATING:
-            return [self._cmd(saga, "release.cmd", {"saga": saga.saga_id, "party": saga.source, "amount": saga.amount + saga.fee})]
-        if to_state in TERMINAL_STATES:
-            return [self._result(saga, to_state)]
-        raise IllegalTransition(f"nothing to emit for {kind} -> {to_state.value}")
+    def _emission(self, saga: Saga, kind: str, from_state: SagaState, to_state: SagaState) -> CanonicalMessage | None:
+        if to_state is from_state:
+            if kind == "stale":
+                return None
+            # a retry after a timeout, or a re-emission after recovery: the same command, same id
+            assert saga.outstanding_cmd is not None
+            return self._cmd(saga, _OUTSTANDING_TYPE[to_state], saga.outstanding_cmd)
+        msg_type = _OUTSTANDING_TYPE.get(to_state)
+        if msg_type is None:
+            return self._result(saga, to_state)
+        return self._cmd(saga, msg_type, self.ids.next())
 
-    def _cmd(self, saga: Saga, msg_type: str, body: dict) -> CanonicalMessage:
+    def _cmd(self, saga: Saga, msg_type: str, message_id: str) -> CanonicalMessage:
         return CanonicalMessage(
-            message_id=self.ids.next(),
+            message_id=message_id,
             correlation_id=saga.request_corr,
             msg_type=msg_type,
             source="bus",
             destination="bus",
             timestamp=self.now(),
-            body=body,
+            body=_command_body(saga, msg_type),
         )
 
     def _result(self, saga: Saga, state: SagaState) -> CanonicalMessage:
@@ -425,38 +458,6 @@ class ProcessEngine:
             destination=saga.reply_to,
             timestamp=self.now(),
             body={"saga": saga.saga_id, "client_ref": saga.client_ref, "state": state.value, "reason": saga.reason},
-        )
-
-    def _rebuild_outstanding(self, saga: Saga) -> CanonicalMessage:
-        """The same command, same id, for retry or post-recovery re-emission."""
-        assert saga.outstanding_cmd is not None and saga.outstanding_type is not None
-        bodies = {
-            "authorize.cmd": lambda: {"saga": saga.saga_id, "op": saga.kind, "party": saga.source, "amount": saga.amount},
-            "hold.cmd": lambda: {"saga": saga.saga_id, "party": saga.source, "amount": saga.amount + saga.fee},
-            "credit.cmd": lambda: {"saga": saga.saga_id, "party": saga.destination, "amount": saga.amount},
-            "commit.cmd": lambda: {"saga": saga.saga_id, "party": saga.source, "amount": saga.amount, "fee": saga.fee},
-            "release.cmd": lambda: {"saga": saga.saga_id, "party": saga.source, "amount": saga.amount + saga.fee},
-        }
-        return CanonicalMessage(
-            message_id=saga.outstanding_cmd,
-            correlation_id=saga.request_corr,
-            msg_type=saga.outstanding_type,
-            source="bus",
-            destination="bus",
-            timestamp=self.now(),
-            body=bodies[saga.outstanding_type](),
-        )
-
-    def _journal(self, saga: Saga, event: dict, to_state: SagaState, cmds: list[str]) -> None:
-        self.journal.append(
-            {
-                "tick": self.now(),
-                "saga": saga.saga_id,
-                "from_state": saga.state.value,
-                "event": event,
-                "to_state": to_state.value,
-                "cmds": cmds,
-            }
         )
 
     # -- recovery ---------------------------------------------------------
@@ -501,29 +502,4 @@ class ProcessEngine:
         return sorted(s.saga_id for s in self.sagas.values() if not s.terminal)
 
     def saga_rows(self) -> list[dict]:
-        rows = []
-        for saga_id in sorted(self.sagas):
-            s = self.sagas[saga_id]
-            rows.append(
-                {
-                    "saga": s.saga_id,
-                    "kind": s.kind,
-                    "client_ref": s.client_ref,
-                    "state": s.state.value,
-                    "reason": s.reason,
-                    "from": render_party(s.source),
-                    "to": render_party(s.destination),
-                    "amount": _money_json(s.amount),
-                    "fee": _money_json(s.fee) if s.fee is not None else None,
-                }
-            )
-        return rows
-
-
-_REPLY_FOR_STATE = {
-    SagaState.AUTH_PENDING: ("auth.ok", "auth.denied"),
-    SagaState.HOLD_PENDING: ("hold.ok", "hold.err"),
-    SagaState.CREDIT_PENDING: ("credit.ok", "credit.err"),
-    SagaState.COMMIT_PENDING: ("commit.ok",),
-    SagaState.COMPENSATING: ("release.ok",),
-}
+        return [saga_row(self.sagas[saga_id]) for saga_id in sorted(self.sagas)]

@@ -37,7 +37,7 @@ from .canonical import (
 )
 from .channels import GatewayChannel, UssdChannel
 from .contracts import AuthorizerService, ContractRegistry, FeeSchedule, ServiceContract, UnknownEndpoint
-from .engine import Journal, ProcessEngine, load_journal, fold_records, truncate_last_record
+from .engine import Journal, ProcessEngine, load_journal, fold_records, saga_row, truncate_last_record
 from .faults import FaultDirective, parse_directive
 from .ledgers import Ledger, LedgerEndpoint, conservation
 from .offline import QueueItem, SyncAgent
@@ -423,12 +423,6 @@ class Simulator:
             ledger.open_account(party, minor)
         self.endpoint_hosts[spec.endpoint_id] = LedgerEndpoint(ledger, spec.native_format)
 
-    def add_endpoint(self, spec: EndpointSpec, rules: list[RoutingRule] = ()) -> None:
-        """Post-startup registration: new endpoint and its routes, nothing else changes."""
-        self._install_endpoint(spec)
-        for rule in rules:
-            self.routes.add(rule)
-
     # -- scheduling -----------------------------------------------------
 
     def _push(self, tick: int, kind: str, payload: tuple = (), lazy: bool = False) -> None:
@@ -680,14 +674,22 @@ class Simulator:
             raise RunError(f"unknown event kind {kind!r}")
 
     def drain(self) -> None:
-        """Live mode: work through due events; idle expiries wait for their tick."""
+        """Live mode: work through queued events; idle expiries wait for their tick.
+
+        An expiry not yet due is set aside, not stopped at, so the events
+        queued behind it still run; it goes back on the queue afterwards.
+        """
+        waiting = []
         while self._heap:
-            tick, _, lazy, kind, payload = self._heap[0]
+            entry = heapq.heappop(self._heap)
+            tick, _, lazy, kind, payload = entry
             if lazy and tick > self.now_tick:
-                break
-            heapq.heappop(self._heap)
+                waiting.append(entry)
+                continue
             self.now_tick = max(self.now_tick, tick)
             self._handle_event(kind, payload)
+        for entry in waiting:
+            heapq.heappush(self._heap, entry)
 
     def run(self) -> dict:
         scenario = self.scenario
@@ -720,6 +722,11 @@ class Simulator:
         return report
 
     # -- outputs ---------------------------------------------------------------
+
+    def journal_records(self) -> list[dict]:
+        """Every journal record of the run; those of engines lost to bus crashes come first."""
+        current = self.engine.journal.records if self.engine is not None else []
+        return self._preserved_records + current
 
     def ledgers(self) -> list[Ledger]:
         return [self.endpoint_hosts[k].ledger for k in sorted(self.endpoint_hosts)]
@@ -762,6 +769,7 @@ class Simulator:
             "wall_seconds": wall,
             "sagas": sagas,
             "sagas_per_second": (sagas / wall) if wall > 0 else 0.0,
+            "journal": self.engine.journal.durability(),
         }
         with open(os.path.join(self.out_dir, "perf.json"), "w", encoding="utf-8") as fh:
             json.dump(perf, fh, indent=2, sort_keys=True)
@@ -887,7 +895,7 @@ def verify_run(report_path: str, ledgers_dir: str) -> list[tuple[str, bool, str]
 
 
 def replay_journal(journal_path: str, report_path: str | None = None) -> dict:
-    """Rebuild engine state from the journal; diff against the run report if present."""
+    """Rebuild engine state from the journal; diff every saga row against the run report if present."""
     records = load_journal(journal_path)
     sagas = fold_records(records)
     states = {saga_id: saga.state.value for saga_id, saga in sorted(sagas.items())}
@@ -903,10 +911,16 @@ def replay_journal(journal_path: str, report_path: str | None = None) -> dict:
     if report_path:
         with open(report_path, encoding="utf-8") as fh:
             report = json.load(fh)
-        reported = {s["saga"]: s["state"] for s in report["sagas"]}
-        for saga_id, state in states.items():
-            if reported.get(saga_id) != state:
-                divergence.append(f"{saga_id}: journal={state} report={reported.get(saga_id)}")
+        reported = {row["saga"]: row for row in report["sagas"]}
+        for saga_id in states:
+            row = saga_row(sagas[saga_id])
+            other = reported.get(saga_id)
+            if other is None:
+                divergence.append(f"{saga_id}: missing from report")
+                continue
+            for name, value in row.items():
+                if other.get(name) != value:
+                    divergence.append(f"{saga_id}: {name} journal={value!r} report={other.get(name)!r}")
         for saga_id in reported:
             if saga_id not in states:
                 divergence.append(f"{saga_id}: missing from journal")
@@ -919,20 +933,27 @@ def replay_journal(journal_path: str, report_path: str | None = None) -> dict:
 # --- fault matrix -----------------------------------------------------------
 
 
-def run_matrix(obj: dict, name: str, seed: int | None = None, out_dir: str | None = None) -> dict:
-    """Run every cell of a fault-matrix file: base scenario x fault sets."""
+def matrix_cells(obj: dict, name: str) -> list[tuple[str, Scenario]]:
+    """The cells of a fault-matrix file, each the base scenario plus the cell's faults."""
     base = obj.get("base")
     cells = obj.get("cells")
     if not isinstance(base, dict) or not isinstance(cells, list):
         raise InvalidScenario(f"{name}: matrix file needs base and cells")
-    results = []
-    started = time.perf_counter()
+    scenarios = []
     for i, cell in enumerate(cells):
         cell_name = cell.get("name", f"cell{i}")
         merged = dict(base)
         merged["faults"] = list(base.get("faults", [])) + list(cell.get("faults", []))
         merged["name"] = f"{name}:{cell_name}"
-        scenario = scenario_from_obj(merged, merged["name"])
+        scenarios.append((cell_name, scenario_from_obj(merged, merged["name"])))
+    return scenarios
+
+
+def run_matrix(obj: dict, name: str, seed: int | None = None, out_dir: str | None = None) -> dict:
+    """Run every cell of a fault-matrix file: base scenario x fault sets."""
+    results = []
+    started = time.perf_counter()
+    for cell_name, scenario in matrix_cells(obj, name):
         cell_out = os.path.join(out_dir, cell_name.replace(" ", "_")) if out_dir else None
         report, _ = run_scenario(scenario, seed=seed, out_dir=cell_out)
         results.append(

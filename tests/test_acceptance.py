@@ -477,7 +477,8 @@ def test_10_throughput_reported(out_root, capsys):
     emit(capsys, 10, ok,
          f"throughput (informational): {perf['sagas']} sagas in "
          f"{perf['wall_seconds']:.2f}s = {perf['sagas_per_second']:.0f}/s "
-         f"single-threaded in-memory (soft target 500/s)"
+         f"single-threaded, {perf['journal']['backing']}-backed journal "
+         f"(fsync policy: {perf['journal']['fsync']}; soft target 500/s)"
          + ("" if ok else f" | {problems[:3]}"))
 
 

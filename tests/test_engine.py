@@ -17,6 +17,7 @@ from mmbus.engine import (
     fold_records,
     load_journal,
     next_state,
+    saga_row,
     truncate_last_record,
 )
 
@@ -196,6 +197,25 @@ def test_timeout_exhaustion_in_credit_compensates():
     assert loop.last_cmd().msg_type == "release.cmd"
 
 
+def test_release_timeout_keeps_compensation_reason():
+    loop = Loop()
+    saga_id, _ = loop.submit()
+    loop.reply("auth.ok", {"fee": ghs(50)})
+    loop.reply("hold.ok")
+    loop.reply("credit.err", {"reason": "no_account"})
+    release_id = loop.last_cmd().message_id
+    loop.engine.on_timeout(saga_id, release_id)  # a release retry, not a credit timeout
+    assert loop.last_cmd().message_id == release_id
+    assert loop.saga(saga_id).reason == "compensated:no_account"
+    loop.reply("release.ok")
+    saga = loop.saga(saga_id)
+    assert saga.state is SagaState.FAILED
+    assert saga.reason == "compensated:no_account"
+    assert loop.last_cmd().body["reason"] == "compensated:no_account"
+    replayed = fold_records(loop.journal.records)
+    assert saga_row(replayed[saga_id]) == loop.engine.saga_rows()[0]
+
+
 def test_commit_retries_forever():
     loop = Loop()
     saga_id, _ = loop.submit()
@@ -294,6 +314,26 @@ def test_fold_records_rejects_sequence_gap(tmp_path):
     records = load_journal(path)
     with pytest.raises(CorruptJournal):
         fold_records(records[:2] + records[3:])
+
+
+@pytest.mark.parametrize(
+    "corrupt,fragment",
+    [
+        (lambda rs: rs[1].__setitem__("to_state", "LIMBO"), "unknown state"),
+        (lambda rs: rs[1].__setitem__("from_state", ["HOLD_PENDING"]), "unknown state"),
+        (lambda rs: rs[1].__setitem__("from_state", "CREDIT_PENDING"), "is in AUTH_PENDING, record says CREDIT_PENDING"),
+        (lambda rs: rs[1].__setitem__("to_state", "FAILED"), "goes to HOLD_PENDING, record says FAILED"),
+        (lambda rs: rs[1]["event"].__setitem__("kind", "commit.ok"), "commit.ok in AUTH_PENDING"),
+        (lambda rs: rs.pop(0), "begins with auth.ok"),
+    ],
+)
+def test_fold_records_rejects_inconsistent_records(corrupt, fragment):
+    loop = Loop()
+    drive_to_completed(loop)
+    records = [dict(r, event=dict(r["event"])) for r in loop.journal.records]
+    corrupt(records)
+    with pytest.raises(CorruptJournal, match=fragment):
+        fold_records(records)
 
 
 def test_truncate_recovers_torn_tail(tmp_path):

@@ -7,12 +7,13 @@ import os
 
 import pytest
 
-from conftest import scenario_path
-from mmbus.engine import truncate_last_record
+from conftest import SCENARIO_DIR, scenario_path
+from mmbus.engine import fold_records, saga_row, truncate_last_record
 from mmbus.harness import (
     InvalidScenario,
     RunError,
     load_scenario,
+    matrix_cells,
     replay_journal,
     run_scenario,
     scenario_from_obj,
@@ -112,6 +113,46 @@ def test_replay_flags_truncated_journal(tmp_path):
     assert not result["ok"]
     assert result["divergence"]
     assert len(result["pending"]) == 1
+
+
+def test_replay_flags_edited_reason(tmp_path):
+    run_happy(tmp_path)
+    report_path = tmp_path / "report.json"
+    report = json.loads(report_path.read_text())
+    report["sagas"][1]["reason"] = "insufficient"
+    report_path.write_text(json.dumps(report))
+    result = replay_journal(str(tmp_path / "journal.ndjson"))
+    saga_id = report["sagas"][1]["saga"]
+    assert not result["ok"]
+    assert result["divergence"] == [f"{saga_id}: reason journal='' report='insufficient'"]
+
+
+def test_perf_names_journal_durability(tmp_path):
+    run_happy(tmp_path)
+    with open(tmp_path / "perf.json", encoding="utf-8") as fh:
+        perf = json.load(fh)
+    assert perf["journal"] == {"backing": "file", "fsync": "record"}
+
+
+def _every_run():
+    """(id, scenario) for each scenario file, and for each cell of each fault-matrix file."""
+    runs = []
+    for fname in sorted(os.listdir(SCENARIO_DIR)):
+        name = fname[: -len(".json")]
+        with open(os.path.join(SCENARIO_DIR, fname), encoding="utf-8") as fh:
+            obj = json.load(fh)
+        if "cells" in obj:
+            runs.extend((f"{name}:{cell}", scenario) for cell, scenario in matrix_cells(obj, name))
+        else:
+            runs.append((name, scenario_from_obj(obj, name)))
+    return runs
+
+
+@pytest.mark.parametrize("scenario", [pytest.param(s, id=run_id) for run_id, s in _every_run()])
+def test_live_rows_equal_replayed_rows(scenario):
+    _, sim = run_scenario(scenario)
+    replayed = fold_records(sim.journal_records())
+    assert [saga_row(replayed[saga_id]) for saga_id in sorted(replayed)] == sim.engine.saga_rows()
 
 
 def base_obj():

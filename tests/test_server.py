@@ -10,7 +10,7 @@ import pytest
 from conftest import scenario_path
 from mmbus.channels import _MENU
 from mmbus.harness import load_scenario
-from mmbus.server import SwitchServer
+from mmbus.server import SwitchHost, SwitchServer
 
 
 @pytest.fixture()
@@ -109,3 +109,14 @@ def test_malformed_line_gets_error_not_disconnect(server):
         assert json.loads(client.recv())["accepted"] == "c-300"
     finally:
         client.close()
+
+
+def test_pending_ussd_expiry_does_not_stall_later_results():
+    host = SwitchHost(load_scenario(scenario_path("happy_path")))
+    gw_id, us_id = host.attach()
+    assert host.handle_line(gw_id, us_id, "USSD|233240000001|BEGIN|") == [f"USSD|us-000001|CONT|{_MENU}"]
+    for i in range(40):
+        replies = [json.loads(r) for r in host.handle_line(gw_id, us_id, transfer_wire(f"c-4{i:02d}", f"stall{i}", 100))]
+        assert replies[0]["accepted"] == f"c-4{i:02d}"
+        results = [r["body"] for r in replies if r.get("type") == "saga.result"]
+        assert [(r["client_ref"], r["state"]) for r in results] == [(f"stall{i}", "COMPLETED")], f"transfer {i}"
