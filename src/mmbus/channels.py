@@ -183,10 +183,12 @@ class UssdChannel:
         if verb != "INPUT":
             return "USSD|-|END|Bad frame."
         session = self.sessions.get(ref)
-        if session is None or session.state is UssdState.DONE:
+        if session is None:
             return f"USSD|{ref}|END|No session."
         session.last_activity = tick
         prefix, text_out = self._step(session, text, tick)
+        if session.state is UssdState.DONE:
+            del self.sessions[ref]
         return f"USSD|{session.session_id}|{prefix}|{text_out}"
 
     def _prompt(self, session: UssdSession) -> str:
@@ -307,13 +309,11 @@ class UssdChannel:
 
     def expire_due(self, tick: int) -> list[str]:
         """Close sessions idle past the expiry window; returns the END frames."""
+        expired = [s for s in self.sessions.values() if tick - s.last_activity >= self.expiry_ticks]
         frames = []
-        for session in self.sessions.values():
-            if session.state is UssdState.DONE:
-                continue
-            if tick - session.last_activity >= self.expiry_ticks:
-                session.state = UssdState.DONE
-                frame = f"USSD|{session.session_id}|END|Session expired."
-                self.transcript.add(tick, "out", frame)
-                frames.append(frame)
+        for session in expired:
+            del self.sessions[session.session_id]
+            frame = f"USSD|{session.session_id}|END|Session expired."
+            self.transcript.add(tick, "out", frame)
+            frames.append(frame)
         return frames

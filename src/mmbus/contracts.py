@@ -5,7 +5,6 @@ has passed a contract lookup here first.
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 from .canonical import (
@@ -108,21 +107,20 @@ def evaluate(contract: ServiceContract, used_today: int, op: str, amount: Money)
 class ContractRegistry:
     """Registered endpoints plus their rolling daily usage.
 
-    Writes are serialized; authorize-and-accumulate is atomic per call.
+    Not thread-safe: callers serialize (the TCP server holds one lock
+    around all switch work).
     """
 
     def __init__(self, ticks_per_day: int = 86400) -> None:
         self.ticks_per_day = ticks_per_day
         self._contracts: dict[str, ServiceContract] = {}
         self._usage: dict[str, DailyUsage] = {}
-        self._lock = threading.Lock()
 
     def register(self, contract: ServiceContract) -> None:
-        with self._lock:
-            if contract.endpoint_id in self._contracts:
-                raise DuplicateEndpoint(contract.endpoint_id)
-            self._contracts[contract.endpoint_id] = contract
-            self._usage[contract.endpoint_id] = DailyUsage()
+        if contract.endpoint_id in self._contracts:
+            raise DuplicateEndpoint(contract.endpoint_id)
+        self._contracts[contract.endpoint_id] = contract
+        self._usage[contract.endpoint_id] = DailyUsage()
 
     def lookup(self, endpoint_id: str) -> ServiceContract | None:
         return self._contracts.get(endpoint_id)
@@ -140,15 +138,14 @@ class ContractRegistry:
 
     def authorize(self, op: str, party: PartyRef, amount: Money, tick: int) -> AuthOk | AuthDenied:
         """Decide against the paying party's institution contract; accumulate on ok."""
-        with self._lock:
-            contract = self._contracts.get(party.institution)
-            if contract is None:
-                raise UnknownEndpoint(party.institution)
-            usage = self._window(party.institution, tick)
-            decision = evaluate(contract, usage.accumulated, op, amount)
-            if isinstance(decision, AuthOk):
-                usage.accumulated += amount.minor_units
-            return decision
+        contract = self._contracts.get(party.institution)
+        if contract is None:
+            raise UnknownEndpoint(party.institution)
+        usage = self._window(party.institution, tick)
+        decision = evaluate(contract, usage.accumulated, op, amount)
+        if isinstance(decision, AuthOk):
+            usage.accumulated += amount.minor_units
+        return decision
 
     def quote_fee(self, institution: str, amount: Money) -> Money:
         contract = self._contracts.get(institution)
@@ -157,10 +154,9 @@ class ContractRegistry:
         return compute_fee(amount, contract.fee)
 
     def used_today(self, endpoint_id: str, tick: int) -> int:
-        with self._lock:
-            if endpoint_id not in self._usage:
-                raise UnknownEndpoint(endpoint_id)
-            return self._window(endpoint_id, tick).accumulated
+        if endpoint_id not in self._usage:
+            raise UnknownEndpoint(endpoint_id)
+        return self._window(endpoint_id, tick).accumulated
 
 
 @dataclass

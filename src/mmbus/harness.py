@@ -346,11 +346,10 @@ def expand_generator(gen: dict, seed: int, index: int, currency: str) -> list[Tr
 
 
 class Simulator:
-    def __init__(self, scenario: Scenario, out_dir: str | None = None, seed: int | None = None, live: bool = False):
+    def __init__(self, scenario: Scenario, out_dir: str | None = None, seed: int | None = None):
         self.scenario = scenario
         self.seed = scenario.seed if seed is None else seed
         self.out_dir = out_dir
-        self.live = live
         self.now_tick = 0
         self._eseq = 0
         self._heap: list = []
@@ -385,23 +384,21 @@ class Simulator:
         self.injector = FaultInjector(scenario.faults)
         self.bus = ServiceBus(self.routes, self.injector, self._permits)
         self.authorizer = AuthorizerService(self.registry)
-        self.auth_down_until: int | None = None
+        # node (AUTH_NODE or an endpoint id) -> tick it restarts at
+        self.down_until: dict[str, int] = {}
 
         self.channels: dict[str, object] = {}
         for ch in scenario.channels:
-            if ch.protocol == "gateway":
-                self.channels[ch.channel_id] = GatewayChannel(ch.channel_id, self._submit, self._query_balance)
-            else:
-                self.channels[ch.channel_id] = UssdChannel(
-                    ch.channel_id, ch.institution, scenario.currency, self._submit, self._query_balance, self._quote_fee
-                )
+            self.add_channel(ch)
         self.agents: list[SyncAgent] = [
             SyncAgent(a.agent_id, a.channel_id, a.items, a.reconnect_tick) for a in scenario.agents
         ]
         self.agent_by_channel = {a.channel_id: a for a in self.agents}
 
+        # the journal the bus writes to now; a recovery replaces it
+        self.journal = Journal(self.journal_path)
         self.engine: ProcessEngine | None = ProcessEngine(
-            Journal(self.journal_path),
+            self.journal,
             now=lambda: self.now_tick,
             emit=self._dispatch,
             arm_timer=self._arm_timer,
@@ -422,6 +419,15 @@ class Simulator:
         for party, minor in spec.accounts:
             ledger.open_account(party, minor)
         self.endpoint_hosts[spec.endpoint_id] = LedgerEndpoint(ledger, spec.native_format)
+
+    def add_channel(self, spec: ChannelSpec) -> None:
+        if spec.protocol == "gateway":
+            channel = GatewayChannel(spec.channel_id, self._submit, self._query_balance)
+        else:
+            channel = UssdChannel(
+                spec.channel_id, spec.institution, self.scenario.currency, self._submit, self._query_balance, self._quote_fee
+            )
+        self.channels[spec.channel_id] = channel
 
     # -- scheduling -----------------------------------------------------
 
@@ -446,24 +452,14 @@ class Simulator:
         self.receipts.extend(decision.receipts)
         if decision.crash_endpoint is not None:
             target, restart_after = decision.crash_endpoint
-            if target == AUTH_NODE:
-                self.auth_down_until = self.now_tick + restart_after
-            else:
-                host = self.endpoint_hosts.get(target)
-                if host is not None:
-                    host.crash(self.now_tick, restart_after)
+            self.down_until[target] = self.now_tick + restart_after
         for d in decision.deliveries:
             self._push(self.now_tick + d.delay, "deliver", (self.epoch, d.target, d.msg, d.receipt))
         if decision.crash_bus:
             raise BusCrash(f"bus crashed dispatching {msg.msg_type} {msg.message_id}")
 
-    def _auth_is_down(self, tick: int) -> bool:
-        if self.auth_down_until is None:
-            return False
-        if tick >= self.auth_down_until:
-            self.auth_down_until = None
-            return False
-        return True
+    def _is_down(self, node: str) -> bool:
+        return self.now_tick < self.down_until.get(node, 0)
 
     # -- channel callbacks -------------------------------------------------
 
@@ -488,7 +484,7 @@ class Simulator:
         if self._permits(target, msg.msg_type) is False:
             return None
         host = self.endpoint_hosts.get(target)
-        if host is None or host.is_down(self.now_tick):
+        if host is None or self._is_down(target):
             return None
         inbound = self._through_native(routed, host.native_format)
         if host.ledger.balance(inbound.body["party"]) is None:
@@ -511,8 +507,14 @@ class Simulator:
     # -- crash and recovery ------------------------------------------------
 
     def _crash_bus(self) -> None:
-        assert self.engine is not None
-        journal = self.engine.journal
+        """Lose the bus process: keep what reached the journal, restart later.
+
+        A crash while the bus is already down is no crash: only a running
+        bus, or one re-emitting during recovery, has anything to lose.
+        """
+        if self.bus_resume_tick is not None:
+            return
+        journal = self.journal
         torn = self.scenario.torn_tail and journal.seq > journal.settled_seq
         records = journal.records[:-1] if torn else journal.records
         self._preserved_records.extend(records)
@@ -527,32 +529,17 @@ class Simulator:
         self._push(resume, "bus_up")
 
     def _bus_up(self) -> None:
+        """Recover from the journal records; a crash while re-emitting goes through `_crash_bus`."""
         last_seq = self._preserved_records[-1]["seq"] if self._preserved_records else 0
-        journal = Journal(self.journal_path, start_seq=last_seq)
-        try:
-            engine, resumed = ProcessEngine.recover(
-                self._preserved_records,
-                journal,
-                now=lambda: self.now_tick,
-                emit=self._dispatch,
-                arm_timer=self._arm_timer,
-            )
-        except BusCrash:
-            # crashed again while re-emitting; preserve what settled and retry
-            torn = self.scenario.torn_tail and journal.seq > journal.settled_seq
-            records = journal.records[:-1] if torn else journal.records
-            self._preserved_records.extend(records)
-            journal.close()
-            if torn and journal.path:
-                truncate_last_record(journal.path)
-            self.epoch += 1
-            resume = self.now_tick + self.scenario.bus_restart_ticks
-            self.bus_resume_tick = resume
-            self.crashes.append({"crash_tick": self.now_tick, "resume_tick": resume, "torn": torn, "resumed": None})
-            self._push(resume, "bus_up")
-            return
-        self.engine = engine
+        self.journal = Journal(self.journal_path, start_seq=last_seq)
         self.bus_resume_tick = None
+        self.engine, resumed = ProcessEngine.recover(
+            self._preserved_records,
+            self.journal,
+            now=lambda: self.now_tick,
+            emit=self._dispatch,
+            arm_timer=self._arm_timer,
+        )
         self.crashes[-1]["resumed"] = resumed
 
     # -- event handling ------------------------------------------------------
@@ -565,33 +552,22 @@ class Simulator:
                 receipt.deliver_tick = None
                 return
             if msg.msg_type in REPLY_TYPES:
-                try:
-                    self.engine.on_reply(msg)
-                except BusCrash:
-                    self._crash_bus()
+                self.engine.on_reply(msg)
             elif msg.msg_type in ("sync.batch", "sync.report"):
                 self.sync_messages.append({"tick": tick, "type": msg.msg_type, "body": dict(msg.body)})
             elif msg.msg_type in REQUEST_TYPES:
                 self._submit(msg)
             return
-        if target == AUTH_NODE:
-            if self._auth_is_down(tick):
+        if target == AUTH_NODE or target in self.endpoint_hosts:
+            if self._is_down(target):
                 receipt.outcome = "dropped"
                 receipt.deliver_tick = None
-                return
-            reply = self.authorizer.handle(msg, tick)
-            self._dispatch_safe(reply)
-            return
-        host = self.endpoint_hosts.get(target)
-        if host is not None:
-            if host.is_down(tick):
-                receipt.outcome = "dropped"
-                receipt.deliver_tick = None
-                return
-            inbound = self._through_native(msg, host.native_format)
-            reply = host.handle(inbound, tick)
-            reply = self._through_native(reply, host.native_format)
-            self._dispatch_safe(reply)
+            elif target == AUTH_NODE:
+                self._dispatch(self.authorizer.handle(msg, tick))
+            else:
+                host = self.endpoint_hosts[target]
+                reply = host.handle(self._through_native(msg, host.native_format), tick)
+                self._dispatch(self._through_native(reply, host.native_format))
             return
         channel = self.channels.get(target)
         if channel is not None:
@@ -607,14 +583,6 @@ class Simulator:
             return
         raise RunError(f"delivery to unknown node {target!r}")
 
-    def _dispatch_safe(self, msg: CanonicalMessage) -> None:
-        """Dispatch from a non-engine node; a bus crash here still recovers."""
-        try:
-            self._dispatch(msg)
-        except BusCrash:
-            if self.engine is not None:
-                self._crash_bus()
-
     def _agent_send(self, agent: SyncAgent, msg: CanonicalMessage) -> None:
         if msg.msg_type in REQUEST_TYPES:
             if self.engine is None:
@@ -625,53 +593,54 @@ class Simulator:
         else:
             self.sync_messages.append({"tick": self.now_tick, "type": msg.msg_type, "body": dict(msg.body)})
 
-    def _handle_traffic(self, channel_id: str, text: str) -> None:
-        if self.engine is None:
-            # the switch is down; the channel retries once it is back
-            assert self.bus_resume_tick is not None
-            self._push(self.bus_resume_tick, "traffic", (channel_id, text))
-            return
+    def _handle_traffic(self, channel_id: str, text: str) -> list[str]:
+        """One inbound line or frame on a channel; returns the channel's replies."""
         channel = self.channels[channel_id]
         if isinstance(channel, UssdChannel):
-            channel.on_frame(text, self.now_tick)
+            replies = [channel.on_frame(text, self.now_tick)]
             self._push(self.now_tick + channel.expiry_ticks, "ussd_expire", (channel_id,), lazy=True)
-        else:
-            channel.on_line(text, self.now_tick)
-
-    def _handle_agent_start(self, index: int) -> None:
-        agent = self.agents[index]
-        if self.engine is None:
-            assert self.bus_resume_tick is not None
-            self._push(self.bus_resume_tick, "agent_start", (index,))
-            return
-        for msg in agent.start(self.now_tick):
-            self._agent_send(agent, msg)
+            return replies
+        return channel.on_line(text, self.now_tick)
 
     # -- main loop ------------------------------------------------------------
 
     def _handle_event(self, kind: str, payload: tuple) -> None:
-        if kind == "traffic":
-            self._handle_traffic(*payload)
-        elif kind == "deliver":
-            self._handle_deliver(*payload)
-        elif kind == "timeout":
-            ev_epoch, saga_id, cmd_id = payload
-            if ev_epoch == self.epoch and self.engine is not None:
-                try:
+        if self.engine is None and kind in ("traffic", "agent_start", "agent_submit"):
+            # the switch is down; the sender retries once it is back
+            assert self.bus_resume_tick is not None
+            self._push(self.bus_resume_tick, kind, payload)
+            return
+        try:
+            if kind == "traffic":
+                self._handle_traffic(*payload)
+            elif kind == "deliver":
+                self._handle_deliver(*payload)
+            elif kind == "timeout":
+                ev_epoch, saga_id, cmd_id = payload
+                if ev_epoch == self.epoch and self.engine is not None:
                     self.engine.on_timeout(saga_id, cmd_id)
-                except BusCrash:
-                    self._crash_bus()
-        elif kind == "bus_up":
-            self._bus_up()
-        elif kind == "ussd_expire":
-            self.channels[payload[0]].expire_due(self.now_tick)
-        elif kind == "agent_start":
-            self._handle_agent_start(*payload)
-        elif kind == "agent_submit":
-            channel_id, msg = payload
-            self._agent_send(self.agent_by_channel[channel_id], msg)
-        else:
-            raise RunError(f"unknown event kind {kind!r}")
+            elif kind == "bus_up":
+                self._bus_up()
+            elif kind == "ussd_expire":
+                self.channels[payload[0]].expire_due(self.now_tick)
+            elif kind == "agent_start":
+                agent = self.agents[payload[0]]
+                for msg in agent.start(self.now_tick):
+                    self._agent_send(agent, msg)
+            elif kind == "agent_submit":
+                channel_id, msg = payload
+                self._agent_send(self.agent_by_channel[channel_id], msg)
+            else:
+                raise RunError(f"unknown event kind {kind!r}")
+        except BusCrash:
+            self._crash_bus()
+
+    def feed(self, channel_id: str, text: str) -> list[str]:
+        """Live ingress: one line or frame at the next tick; the channel's replies, then its deliveries."""
+        self.now_tick += 1
+        replies = self._handle_traffic(channel_id, text)
+        self.drain()
+        return replies + self.outboxes.pop(channel_id, [])
 
     def drain(self) -> None:
         """Live mode: work through queued events; idle expiries wait for their tick.
@@ -702,13 +671,16 @@ class Simulator:
             self._push(self.agents[i].reconnect_tick, "agent_start", (i,))
 
         started = time.perf_counter()
-        while self._heap:
-            tick, _, _, kind, payload = heapq.heappop(self._heap)
-            if tick > scenario.max_ticks:
-                raise RunError(f"watchdog: event at tick {tick} exceeds max_ticks {scenario.max_ticks}")
-            self.now_tick = max(self.now_tick, tick)
-            self._handle_event(kind, payload)
-        wall = time.perf_counter() - started
+        try:
+            while self._heap:
+                tick, _, _, kind, payload = heapq.heappop(self._heap)
+                if tick > scenario.max_ticks:
+                    raise RunError(f"watchdog: event at tick {tick} exceeds max_ticks {scenario.max_ticks}")
+                self.now_tick = max(self.now_tick, tick)
+                self._handle_event(kind, payload)
+            wall = time.perf_counter() - started
+        finally:
+            self.journal.close()
 
         if self.engine is None:
             raise RunError("queue drained with the bus still down")
@@ -749,7 +721,7 @@ class Simulator:
             "postings": sum(len(lg.entries) for lg in ledgers),
             "receipts": len(self.receipts),
             "recovery": self.crashes,
-            "journal_records": self.engine.journal.seq,
+            "journal_records": self.journal.seq,
             "channels": {cid: ch.transcript.digest() for cid, ch in sorted(self.channels.items())},
             "sync": [
                 {"agent": a.agent_id, "outcomes": a.outcomes, "done": a.done}
@@ -769,7 +741,7 @@ class Simulator:
             "wall_seconds": wall,
             "sagas": sagas,
             "sagas_per_second": (sagas / wall) if wall > 0 else 0.0,
-            "journal": self.engine.journal.durability(),
+            "journal": self.journal.durability(),
         }
         with open(os.path.join(self.out_dir, "perf.json"), "w", encoding="utf-8") as fh:
             json.dump(perf, fh, indent=2, sort_keys=True)

@@ -261,7 +261,6 @@ class LedgerEndpoint:
     native_format: str
     ids: IdGenerator = field(init=False)
     reply_cache: dict[str, CanonicalMessage] = field(default_factory=dict)
-    down_until: int | None = None
 
     def __post_init__(self) -> None:
         self.ids = IdGenerator("ep" + self.ledger.endpoint_id.lower())
@@ -269,17 +268,6 @@ class LedgerEndpoint:
     @property
     def endpoint_id(self) -> str:
         return self.ledger.endpoint_id
-
-    def is_down(self, tick: int) -> bool:
-        if self.down_until is None:
-            return False
-        if tick >= self.down_until:
-            self.down_until = None
-            return False
-        return True
-
-    def crash(self, tick: int, restart_after: int) -> None:
-        self.down_until = tick + restart_after
 
     def handle(self, msg: CanonicalMessage, tick: int) -> CanonicalMessage:
         cached = self.reply_cache.get(msg.message_id)

@@ -9,15 +9,19 @@ from __future__ import annotations
 import socketserver
 import threading
 
-from .channels import GatewayChannel, UssdChannel
-from .harness import Scenario, Simulator
+from .harness import ChannelSpec, Scenario, Simulator
 
 
 class SwitchHost:
     def __init__(self, scenario: Scenario) -> None:
-        self.sim = Simulator(scenario, live=True)
+        self.sim = Simulator(scenario)
         self.lock = threading.Lock()
         self._conn_seq = 0
+        # every connection's USSD menu serves the first USSD channel's institution
+        self._ussd_institution = next(
+            (ch.institution for ch in scenario.channels if ch.protocol == "ussd" and ch.institution),
+            scenario.endpoints[0].endpoint_id if scenario.endpoints else "",
+        )
 
     def attach(self) -> tuple[str, str]:
         """Register a gateway and a ussd channel for a new connection."""
@@ -25,30 +29,13 @@ class SwitchHost:
             self._conn_seq += 1
             gw_id = f"tcp:{self._conn_seq}:gw"
             us_id = f"tcp:{self._conn_seq}:ussd"
-            sim = self.sim
-            sim.channels[gw_id] = GatewayChannel(gw_id, sim._submit, sim._query_balance)
-            institution = self.sim.scenario.endpoints[0].endpoint_id if self.sim.scenario.endpoints else ""
-            for ch in self.sim.scenario.channels:
-                if ch.protocol == "ussd" and ch.institution:
-                    institution = ch.institution
-                    break
-            sim.channels[us_id] = UssdChannel(us_id, institution, sim.scenario.currency, sim._submit, sim._query_balance, sim._quote_fee)
+            self.sim.add_channel(ChannelSpec(gw_id, "gateway"))
+            self.sim.add_channel(ChannelSpec(us_id, "ussd", self._ussd_institution))
             return gw_id, us_id
 
     def handle_line(self, gw_id: str, us_id: str, line: str) -> list[str]:
         with self.lock:
-            sim = self.sim
-            sim.now_tick += 1
-            if line.startswith("USSD|"):
-                ussd = sim.channels[us_id]
-                replies = [ussd.on_frame(line, sim.now_tick)]
-                sim._push(sim.now_tick + ussd.expiry_ticks, "ussd_expire", (us_id,), lazy=True)
-            else:
-                replies = sim.channels[gw_id].on_line(line, sim.now_tick)
-            sim.drain()
-            for cid in (gw_id, us_id):
-                replies.extend(sim.outboxes.pop(cid, []))
-            return replies
+            return self.sim.feed(us_id if line.startswith("USSD|") else gw_id, line)
 
 
 class _Handler(socketserver.StreamRequestHandler):

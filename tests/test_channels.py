@@ -249,6 +249,38 @@ def test_ussd_session_expiry():
     assert ch.expire_due(SESSION_EXPIRY_TICKS + 1) == []  # already closed
 
 
+@pytest.mark.parametrize(
+    "inputs,last_reply",
+    [
+        (["0"], "END|Cancelled."),
+        (["2"], "END|Balance: GHS 12.34"),
+        (["1", "bank:ABBANK:ACC200", "5.00", "1"], "END|Transfer accepted. Ref: sg-000077"),
+        (["9"] * MAX_INVALID, "END|Session ended."),
+    ],
+    ids=["cancel", "balance", "confirm", "invalid"],
+)
+def test_ussd_ended_session_is_freed(inputs, last_reply):
+    ch, _ = make_ussd()
+    ch.on_frame("USSD|233240000011|BEGIN|", 0)
+    ch.on_frame("USSD|233240000012|BEGIN|", 0)
+    for tick, text in enumerate(inputs, start=1):
+        reply = ch.on_frame(f"USSD|us-000001|INPUT|{text}", tick)
+    assert reply == f"USSD|us-000001|{last_reply}"
+    assert list(ch.sessions) == ["us-000002"]
+    assert ch.on_frame("USSD|us-000001|INPUT|1", 9) == "USSD|us-000001|END|No session."
+
+
+def test_ussd_expired_session_is_freed():
+    ch, _ = make_ussd()
+    ch.on_frame("USSD|233240000011|BEGIN|", 0)
+    ch.on_frame("USSD|233240000012|BEGIN|", 5)
+    assert ch.expire_due(SESSION_EXPIRY_TICKS) == ["USSD|us-000001|END|Session expired."]
+    assert list(ch.sessions) == ["us-000002"]
+    assert ch.expire_due(SESSION_EXPIRY_TICKS + 5) == ["USSD|us-000002|END|Session expired."]
+    assert ch.sessions == {}
+    assert ch.on_frame("USSD|us-000001|INPUT|1", 200) == "USSD|us-000001|END|No session."
+
+
 def test_ussd_result_notice():
     ch, _ = make_ussd()
     done = mk("saga.result", {"saga": "sg-000077", "client_ref": "us-000001", "state": "COMPLETED", "reason": ""},

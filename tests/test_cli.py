@@ -33,7 +33,8 @@ def test_run_matrix_file(tmp_path, capsys):
 
 
 def test_run_unmet_expectation_fails(tmp_path, capsys):
-    obj = json.load(open(scenario_path("happy_path"), encoding="utf-8"))
+    with open(scenario_path("happy_path"), encoding="utf-8") as fh:
+        obj = json.load(fh)
     obj["expected"]["sagas"]["t1"] = "FAILED"
     path = tmp_path / "edited.json"
     path.write_text(json.dumps(obj))

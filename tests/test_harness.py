@@ -12,6 +12,7 @@ from mmbus.engine import fold_records, saga_row, truncate_last_record
 from mmbus.harness import (
     InvalidScenario,
     RunError,
+    Simulator,
     load_scenario,
     matrix_cells,
     replay_journal,
@@ -153,6 +154,47 @@ def test_live_rows_equal_replayed_rows(scenario):
     _, sim = run_scenario(scenario)
     replayed = fold_records(sim.journal_records())
     assert [saga_row(replayed[saga_id]) for saga_id in sorted(replayed)] == sim.engine.saga_rows()
+
+
+def _crash_twice_cell(cmd_type, torn_tail):
+    """The fault-matrix base with the bus crashing on the first two dispatches of one command type."""
+    with open(scenario_path("fault_matrix"), encoding="utf-8") as fh:
+        obj = json.load(fh)["base"]
+    obj["torn_tail"] = torn_tail
+    obj["faults"] = [
+        {"msg_type": f"{cmd_type}.cmd", "occurrence": n, "action": "crash_bus"} for n in (1, 2)
+    ]
+    return scenario_from_obj(obj, f"{cmd_type}_crash_bus_twice")
+
+
+@pytest.mark.parametrize("torn_tail", [False, True], ids=["untorn", "torn"])
+@pytest.mark.parametrize("cmd_type", ["authorize", "hold", "credit", "commit", "release"])
+def test_crash_during_recovery_recovers_again(tmp_path, cmd_type, torn_tail):
+    report, _ = run_scenario(_crash_twice_cell(cmd_type, torn_tail), out_dir=str(tmp_path))
+    checks = verify_run(str(tmp_path / "report.json"), str(tmp_path / "ledgers"))
+    assert [name for name, _, _ in checks] == CHECK_NAMES
+    assert all(ok for _, ok, _ in checks), [c for c in checks if not c[1]]
+    replay = replay_journal(str(tmp_path / "journal.ndjson"))
+    assert replay["ok"] and replay["divergence"] == []
+    assert len(report["recovery"]) == 2
+    if not torn_tail:
+        # the first recovery re-emits the command that crashes the bus again
+        assert report["recovery"][0]["resumed"] is None
+        assert report["recovery"][1]["resumed"] is not None
+
+
+def test_run_closes_file_journal(tmp_path):
+    scenario = load_scenario(scenario_path("happy_path"))
+    sim = Simulator(scenario, out_dir=str(tmp_path / "ok"))
+    sim.run()
+    assert sim.journal._fh is None
+
+    obj = base_obj()
+    obj["max_ticks"] = 3
+    sim = Simulator(scenario_from_obj(obj, "runaway"), out_dir=str(tmp_path / "runaway"))
+    with pytest.raises(RunError, match="watchdog"):
+        sim.run()
+    assert sim.journal._fh is None
 
 
 def base_obj():

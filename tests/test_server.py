@@ -9,7 +9,7 @@ import pytest
 
 from conftest import scenario_path
 from mmbus.channels import _MENU
-from mmbus.harness import load_scenario
+from mmbus.harness import load_scenario, scenario_from_obj
 from mmbus.server import SwitchHost, SwitchServer
 
 
@@ -120,3 +120,34 @@ def test_pending_ussd_expiry_does_not_stall_later_results():
         assert replies[0]["accepted"] == f"c-4{i:02d}"
         results = [r["body"] for r in replies if r.get("type") == "saga.result"]
         assert [(r["client_ref"], r["state"]) for r in results] == [(f"stall{i}", "COMPLETED")], f"transfer {i}"
+
+
+def test_every_delivery_reaches_the_connection_that_sent_the_line():
+    with open(scenario_path("happy_path"), encoding="utf-8") as fh:
+        obj = json.load(fh)
+    obj["faults"] = [
+        {"msg_type": "credit.cmd", "occurrence": 2, "action": "delay", "ticks": 150},
+        {"msg_type": "hold.cmd", "occurrence": 4, "action": "crash_bus"},
+    ]
+    host = SwitchHost(scenario_from_obj(obj, "two_connections"))
+    conns = [host.attach(), host.attach()]
+
+    def send(conn, line):
+        replies = host.handle_line(*conns[conn], line)
+        assert not any(host.sim.outboxes.values()), line
+        return replies
+
+    # USSD session ids restart on every connection and become client refs,
+    # so only connection 0 confirms transfers; connection 1 asks for balances
+    notices = 0
+    for i in range(4):
+        ussd, gw = i % 2, 1 - i % 2
+        sid = send(ussd, "USSD|233240000001|BEGIN|")[0].split("|")[1]
+        inputs = ["1", "bank:ABBANK:ACC100", "1.00", "1"] if ussd == 0 else ["9", "2"]
+        for j, text in enumerate(inputs):
+            replies = send(gw, transfer_wire(f"c-5{i}{j}", f"two{i}{j}", 100))
+            assert [json.loads(r)["body"]["client_ref"] for r in replies[1:]] == [f"two{i}{j}"]
+            replies = send(ussd, f"USSD|{sid}|INPUT|{text}")
+            notices += sum(r.startswith(f"USSD|{sid}|NOTICE|") for r in replies)
+    assert notices == 2
+    assert len(host.sim.crashes) == 1
