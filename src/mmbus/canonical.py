@@ -62,10 +62,6 @@ class Money:
         self._check(other)
         return Money(self.currency, self.minor_units - other.minor_units)
 
-    def __le__(self, other: "Money") -> bool:
-        self._check(other)
-        return self.minor_units <= other.minor_units
-
     def __lt__(self, other: "Money") -> bool:
         self._check(other)
         return self.minor_units < other.minor_units

@@ -78,11 +78,17 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from .server import serve
+    from .server import SwitchServer
 
     host, _, port = args.listen.rpartition(":")
     scenario = load_scenario(args.scenario)
-    serve(scenario, host or "127.0.0.1", int(port))
+    with SwitchServer(scenario, host or "127.0.0.1", int(port)) as server:
+        addr = server.server_address
+        print(f"listening on {addr[0]}:{addr[1]} (gateway json lines and USSD| frames)")
+        try:
+            server.serve_forever()
+        except KeyboardInterrupt:
+            pass
     return 0
 
 

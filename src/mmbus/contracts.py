@@ -125,9 +125,6 @@ class ContractRegistry:
     def lookup(self, endpoint_id: str) -> ServiceContract | None:
         return self._contracts.get(endpoint_id)
 
-    def endpoints(self) -> list[str]:
-        return sorted(self._contracts)
-
     def _window(self, endpoint_id: str, tick: int) -> DailyUsage:
         usage = self._usage[endpoint_id]
         day = tick // self.ticks_per_day

@@ -90,15 +90,6 @@ _OUTSTANDING_TYPE = {
     SagaState.COMPENSATING: "release.cmd",
 }
 
-# the replies each state waits for; anything else is stale
-_REPLY_FOR_STATE = {
-    SagaState.AUTH_PENDING: ("auth.ok", "auth.denied"),
-    SagaState.HOLD_PENDING: ("hold.ok", "hold.err"),
-    SagaState.CREDIT_PENDING: ("credit.ok", "credit.err"),
-    SagaState.COMMIT_PENDING: ("commit.ok",),
-    SagaState.COMPENSATING: ("release.ok",),
-}
-
 # journal state names to states, without Enum's by-value lookup
 _STATE_BY_NAME = {state.value: state for state in SagaState}
 
@@ -377,19 +368,16 @@ class ProcessEngine:
         if saga is None:
             return  # reply for a saga this engine never started; drop
         cmd = msg.body.get("cmd", "")
-        if saga.terminal or cmd != saga.outstanding_cmd:
+        kind = msg.msg_type
+        # a reply the saga's state has no transition for is stale
+        if cmd != saga.outstanding_cmd or (saga.state, kind) not in _TRANSITIONS:
             self._stale(saga, msg.message_id)
             return
-        kind = msg.msg_type
         event: dict = {"kind": kind, "cmd": cmd}
         if kind == "auth.ok":
             event["fee"] = _money_json(msg.body["fee"])
         elif kind in ("auth.denied", "hold.err", "credit.err"):
             event["reason"] = msg.body["reason"]
-        expected = _REPLY_FOR_STATE.get(saga.state, ())
-        if kind not in expected:
-            self._stale(saga, msg.message_id)
-            return
         self._advance(saga, event)
 
     def _stale(self, saga: Saga, about: str) -> None:

@@ -36,7 +36,7 @@ from .canonical import (
     render_party,
 )
 from .channels import GatewayChannel, UssdChannel
-from .contracts import AuthorizerService, ContractRegistry, FeeSchedule, ServiceContract, UnknownEndpoint
+from .contracts import AuthorizerService, ContractError, ContractRegistry, FeeSchedule, ServiceContract, UnknownEndpoint
 from .engine import Journal, ProcessEngine, load_journal, fold_records, saga_row, truncate_last_record
 from .faults import FaultDirective, parse_directive
 from .ledgers import Ledger, LedgerEndpoint, conservation
@@ -57,15 +57,7 @@ class InvalidScenario(Exception):
 
 @dataclass
 class EndpointSpec:
-    endpoint_id: str
-    kind: str
-    native_format: str
-    operations: frozenset[str]
-    per_txn_cap: Money
-    daily_cap: Money
-    fee_flat: Money
-    fee_bps: int
-    fee_cap: Money
+    contract: ServiceContract
     float_minor: int
     accounts: list[tuple[PartyRef, int]]
 
@@ -75,6 +67,22 @@ class ChannelSpec:
     channel_id: str
     protocol: str  # gateway | ussd
     institution: str = ""
+
+
+@dataclass
+class GeneratorSpec:
+    """A validated `generate` block; expand_generator turns it into traffic for a seed."""
+
+    index: int
+    channel: str
+    count: int
+    start_tick: int
+    spacing: int
+    ref_prefix: str
+    parties: list[PartyRef]
+    pairs: list[tuple[PartyRef, PartyRef]]
+    amount_min: int
+    amount_max: int
 
 
 @dataclass
@@ -105,7 +113,7 @@ class Scenario:
     rules: list[RoutingRule] = field(default_factory=list)
     channels: list[ChannelSpec] = field(default_factory=list)
     traffic: list[TrafficItem] = field(default_factory=list)
-    generators: list[dict] = field(default_factory=list)
+    generators: list[GeneratorSpec] = field(default_factory=list)
     faults: list[FaultDirective] = field(default_factory=list)
     agents: list[AgentSpec] = field(default_factory=list)
     expected: dict = field(default_factory=dict)
@@ -119,6 +127,15 @@ def _req(obj: dict, key: str, path: str):
     if key not in obj:
         raise _fail(f"{path}.{key}", "missing")
     return obj[key]
+
+
+def _int(obj: dict, key: str, path: str, default: int | None = None) -> int:
+    """An integer field; a missing one takes the default, or is an error without one."""
+    value = _req(obj, key, path) if default is None else obj.get(key, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise _fail(f"{path}.{key}", f"must be an integer, got {value!r}") from None
 
 
 def _money(obj, currency: str, path: str) -> Money:
@@ -146,11 +163,11 @@ def scenario_from_obj(obj: dict, name: str) -> Scenario:
     currency = _req(obj, "currency", name)
     scenario = Scenario(
         name=obj.get("name", name),
-        seed=int(obj.get("seed", 0)),
+        seed=_int(obj, "seed", name, 0),
         currency=currency,
-        ticks_per_day=int(obj.get("ticks_per_day", 86400)),
-        max_ticks=int(obj.get("max_ticks", 100_000)),
-        bus_restart_ticks=int(obj.get("bus_restart_ticks", 5)),
+        ticks_per_day=_int(obj, "ticks_per_day", name, 86400),
+        max_ticks=_int(obj, "max_ticks", name, 100_000),
+        bus_restart_ticks=_int(obj, "bus_restart_ticks", name, 5),
         torn_tail=bool(obj.get("torn_tail", False)),
         expected=obj.get("expected", {}),
     )
@@ -181,25 +198,28 @@ def scenario_from_obj(obj: dict, name: str) -> Scenario:
         operations = ep.get("operations", [])
         if not isinstance(operations, list):
             raise _fail(f"{path}.operations", "must be a list")
-        scenario.endpoints.append(
-            EndpointSpec(
+        try:
+            contract = ServiceContract(
                 endpoint_id=endpoint_id,
                 kind=ep.get("kind", "institution"),
                 native_format=fmt,
                 operations=frozenset(operations),
                 per_txn_cap=_money(_req(ep, "per_txn_cap", path), currency, f"{path}.per_txn_cap"),
                 daily_cap=_money(_req(ep, "daily_cap", path), currency, f"{path}.daily_cap"),
-                fee_flat=_money(fee.get("flat", "0"), currency, f"{path}.fee.flat"),
-                fee_bps=int(fee.get("basis_points", 0)),
-                fee_cap=_money(fee.get("fee_cap", "0"), currency, f"{path}.fee.fee_cap"),
-                float_minor=_money(ep.get("float", "0"), currency, f"{path}.float").minor_units,
-                accounts=accounts,
+                fee=FeeSchedule(
+                    _money(fee.get("flat", "0"), currency, f"{path}.fee.flat"),
+                    _int(fee, "basis_points", f"{path}.fee", 0),
+                    _money(fee.get("fee_cap", "0"), currency, f"{path}.fee.fee_cap"),
+                ),
             )
-        )
+        except ContractError as exc:
+            raise _fail(path, str(exc)) from None
+        float_minor = _money(ep.get("float", "0"), currency, f"{path}.float").minor_units
+        scenario.endpoints.append(EndpointSpec(contract, float_minor, accounts))
 
     for i, rule in enumerate(obj.get("rules", [])):
         path = f"{name}.rules[{i}]"
-        priority = int(_req(rule, "priority", path))
+        priority = _int(rule, "priority", path)
         if priority < 0:
             raise _fail(f"{path}.priority", "must be >= 0 (negative priorities are reserved)")
         target = _req(rule, "target", path)
@@ -244,7 +264,8 @@ def scenario_from_obj(obj: dict, name: str) -> Scenario:
     for i, item in enumerate(obj.get("traffic", [])):
         path = f"{name}.traffic[{i}]"
         if "generate" in item:
-            scenario.generators.append(item["generate"])
+            gen = _generator(item["generate"], len(scenario.generators), seen_channels, currency, f"{path}.generate")
+            scenario.generators.append(gen)
             continue
         channel = _req(item, "channel", path)
         if channel not in seen_channels:
@@ -252,7 +273,7 @@ def scenario_from_obj(obj: dict, name: str) -> Scenario:
         text = item.get("line", item.get("frame"))
         if text is None:
             raise _fail(path, "needs line or frame")
-        scenario.traffic.append(TrafficItem(int(_req(item, "tick", path)), channel, text))
+        scenario.traffic.append(TrafficItem(_int(item, "tick", path), channel, text))
 
     for i, f in enumerate(obj.get("faults", [])):
         path = f"{name}.faults[{i}]"
@@ -277,10 +298,10 @@ def scenario_from_obj(obj: dict, name: str) -> Scenario:
                     destination=_party(_req(q, "to", qpath), f"{qpath}.to"),
                     amount=_money(_req(q, "amount", qpath), currency, f"{qpath}.amount"),
                     client_ref=_req(q, "client_ref", qpath),
-                    local_tick=int(q.get("local_tick", 0)),
+                    local_tick=_int(q, "local_tick", qpath, 0),
                 )
             )
-        scenario.agents.append(AgentSpec(agent_id, channel_id, int(_req(agent, "reconnect_tick", path)), items))
+        scenario.agents.append(AgentSpec(agent_id, channel_id, _int(agent, "reconnect_tick", path), items))
 
     return scenario
 
@@ -297,30 +318,54 @@ def load_scenario(path: str) -> Scenario:
 # --- traffic generation -----------------------------------------------------
 
 
-def expand_generator(gen: dict, seed: int, index: int, currency: str) -> list[TrafficItem]:
-    """Deterministically expand a generate block into gateway lines."""
+def _generator(gen, index: int, channels: set[str], currency: str, path: str) -> GeneratorSpec:
+    """Validate a generate block at load; the seed it expands under is known only at run time."""
+    if not isinstance(gen, dict):
+        raise _fail(path, "must be an object")
     if gen.get("kind") != "transfers":
-        raise InvalidScenario(f"generate[{index}]: unknown kind {gen.get('kind')!r}")
-    rng = random.Random(seed * 1_000_003 + index)
-    count = int(gen["count"])
-    channel = gen["channel"]
-    start = int(gen.get("start_tick", 1))
-    spacing = int(gen.get("spacing", 1))
-    prefix = gen.get("ref_prefix", f"gen{index}")
-    parties = [parse_party(p) for p in gen.get("parties", [])]
-    pairs = [(parse_party(a), parse_party(b)) for a, b in gen.get("pairs", [])]
-    lo = make_money(currency, gen.get("amount_min", "1.00")).minor_units
-    hi = make_money(currency, gen.get("amount_max", "20.00")).minor_units
+        raise _fail(f"{path}.kind", f"unknown kind {gen.get('kind')!r}")
+    channel = _req(gen, "channel", path)
+    if channel not in channels:
+        raise _fail(f"{path}.channel", f"unknown channel {channel!r}")
+    parties = [_party(p, f"{path}.parties[{j}]") for j, p in enumerate(gen.get("parties", []))]
+    pairs = []
+    for j, pair in enumerate(gen.get("pairs", [])):
+        ppath = f"{path}.pairs[{j}]"
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise _fail(ppath, "must be a [from, to] pair")
+        pairs.append((_party(pair[0], ppath), _party(pair[1], ppath)))
     if not pairs and len(parties) < 2:
-        raise InvalidScenario(f"generate[{index}]: needs pairs or >=2 parties")
+        raise _fail(path, "needs pairs or >=2 parties")
+    lo = _money(gen.get("amount_min", "1.00"), currency, f"{path}.amount_min").minor_units
+    hi = _money(gen.get("amount_max", "20.00"), currency, f"{path}.amount_max").minor_units
+    if lo > hi:
+        raise _fail(path, "amount_min exceeds amount_max")
+    return GeneratorSpec(
+        index=index,
+        channel=channel,
+        count=_int(gen, "count", path),
+        start_tick=_int(gen, "start_tick", path, 1),
+        spacing=_int(gen, "spacing", path, 1),
+        ref_prefix=gen.get("ref_prefix", f"gen{index}"),
+        parties=parties,
+        pairs=pairs,
+        amount_min=lo,
+        amount_max=hi,
+    )
+
+
+def expand_generator(gen: GeneratorSpec, seed: int, currency: str) -> list[TrafficItem]:
+    """Deterministically expand a generate block into gateway lines."""
+    rng = random.Random(seed * 1_000_003 + gen.index)
+    channel = gen.channel
     items = []
-    for i in range(count):
-        if pairs:
-            src, dst = rng.choice(pairs)
+    for i in range(gen.count):
+        if gen.pairs:
+            src, dst = rng.choice(gen.pairs)
         else:
-            src, dst = rng.sample(parties, 2)
-        amount = rng.randint(lo, hi)
-        ref = f"{prefix}-{i + 1:06d}"
+            src, dst = rng.sample(gen.parties, 2)
+        amount = rng.randint(gen.amount_min, gen.amount_max)
+        ref = f"{gen.ref_prefix}-{i + 1:06d}"
         line = json.dumps(
             {
                 "v": 1,
@@ -338,7 +383,7 @@ def expand_generator(gen: dict, seed: int, index: int, currency: str) -> list[Tr
             },
             separators=(",", ":"),
         )
-        items.append(TrafficItem(start + i * spacing, channel, line))
+        items.append(TrafficItem(gen.start_tick + i * gen.spacing, channel, line))
     return items
 
 
@@ -405,20 +450,12 @@ class Simulator:
         )
 
     def _install_endpoint(self, spec: EndpointSpec) -> None:
-        contract = ServiceContract(
-            endpoint_id=spec.endpoint_id,
-            kind=spec.kind,
-            native_format=spec.native_format,
-            operations=spec.operations,
-            per_txn_cap=spec.per_txn_cap,
-            daily_cap=spec.daily_cap,
-            fee=FeeSchedule(spec.fee_flat, spec.fee_bps, spec.fee_cap),
-        )
+        contract = spec.contract
         self.registry.register(contract)
-        ledger = Ledger(spec.endpoint_id, self.scenario.currency, spec.float_minor)
+        ledger = Ledger(contract.endpoint_id, self.scenario.currency, spec.float_minor)
         for party, minor in spec.accounts:
             ledger.open_account(party, minor)
-        self.endpoint_hosts[spec.endpoint_id] = LedgerEndpoint(ledger, spec.native_format)
+        self.endpoint_hosts[contract.endpoint_id] = LedgerEndpoint(ledger, contract.native_format)
 
     def add_channel(self, spec: ChannelSpec) -> None:
         if spec.protocol == "gateway":
@@ -662,8 +699,8 @@ class Simulator:
 
     def run(self) -> dict:
         scenario = self.scenario
-        for i, gen in enumerate(scenario.generators):
-            for item in expand_generator(gen, self.seed, i, scenario.currency):
+        for gen in scenario.generators:
+            for item in expand_generator(gen, self.seed, scenario.currency):
                 self._push(item.tick, "traffic", (item.channel, item.text))
         for item in scenario.traffic:
             self._push(item.tick, "traffic", (item.channel, item.text))

@@ -20,7 +20,7 @@ class SwitchHost:
         # every connection's USSD menu serves the first USSD channel's institution
         self._ussd_institution = next(
             (ch.institution for ch in scenario.channels if ch.protocol == "ussd" and ch.institution),
-            scenario.endpoints[0].endpoint_id if scenario.endpoints else "",
+            scenario.endpoints[0].contract.endpoint_id if scenario.endpoints else "",
         )
 
     def attach(self) -> tuple[str, str]:
@@ -61,13 +61,3 @@ class SwitchServer(socketserver.ThreadingTCPServer):
     def __init__(self, scenario: Scenario, host: str, port: int) -> None:
         super().__init__((host, port), _Handler)
         self.switch_host = SwitchHost(scenario)
-
-
-def serve(scenario: Scenario, host: str, port: int) -> None:
-    with SwitchServer(scenario, host, port) as server:
-        addr = server.server_address
-        print(f"listening on {addr[0]}:{addr[1]} (gateway json lines and USSD| frames)")
-        try:
-            server.serve_forever()
-        except KeyboardInterrupt:
-            pass

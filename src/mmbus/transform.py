@@ -36,59 +36,61 @@ class MalformedNative(TransformError):
     pass
 
 
-NATIVE_FORMATS = ("canonical", "bank_pipe", "wallet_kv")
-
 _PIPE_MAGIC = "MMB1"
 
-_PIPE_OPCODES = {
-    "transfer.request": "XFER",
-    "cashout.request": "CASHOUT",
-    "cashin.request": "CASHIN",
-    "balance.request": "BALQ",
-    "balance.reply": "BALR",
-    "authorize.cmd": "AUTH",
-    "auth.ok": "AUTHOK",
-    "auth.denied": "AUTHNO",
-    "hold.cmd": "HOLD",
-    "hold.ok": "HOLDOK",
-    "hold.err": "HOLDERR",
-    "credit.cmd": "CREDIT",
-    "credit.ok": "CREDOK",
-    "credit.err": "CREDERR",
-    "commit.cmd": "COMMIT",
-    "commit.ok": "COMMITOK",
-    "release.cmd": "RELEASE",
-    "release.ok": "RELOK",
-    "saga.result": "RESULT",
-    "sync.batch": "SYNCB",
-    "sync.report": "SYNCR",
+# canonical type -> (bank_pipe opcode, wallet_kv op)
+_WIRE_NAMES = {
+    "transfer.request": ("XFER", "transfer"),
+    "cashout.request": ("CASHOUT", "cashout"),
+    "cashin.request": ("CASHIN", "cashin"),
+    "balance.request": ("BALQ", "bal_q"),
+    "balance.reply": ("BALR", "bal_r"),
+    "authorize.cmd": ("AUTH", "auth"),
+    "auth.ok": ("AUTHOK", "auth_ok"),
+    "auth.denied": ("AUTHNO", "auth_denied"),
+    "hold.cmd": ("HOLD", "hold"),
+    "hold.ok": ("HOLDOK", "hold_ok"),
+    "hold.err": ("HOLDERR", "hold_err"),
+    "credit.cmd": ("CREDIT", "credit"),
+    "credit.ok": ("CREDOK", "credit_ok"),
+    "credit.err": ("CREDERR", "credit_err"),
+    "commit.cmd": ("COMMIT", "commit"),
+    "commit.ok": ("COMMITOK", "commit_ok"),
+    "release.cmd": ("RELEASE", "release"),
+    "release.ok": ("RELOK", "release_ok"),
+    "saga.result": ("RESULT", "result"),
+    "sync.batch": ("SYNCB", "sync_batch"),
+    "sync.report": ("SYNCR", "sync_report"),
 }
-_TYPE_FOR_OPCODE = {v: k for k, v in _PIPE_OPCODES.items()}
+_TYPE_FOR_OPCODE = {pipe: msg_type for msg_type, (pipe, _) in _WIRE_NAMES.items()}
+_TYPE_FOR_KV_OP = {kv: msg_type for msg_type, (_, kv) in _WIRE_NAMES.items()}
 
-_KV_OPS = {
-    "transfer.request": "transfer",
-    "cashout.request": "cashout",
-    "cashin.request": "cashin",
-    "balance.request": "bal_q",
-    "balance.reply": "bal_r",
-    "authorize.cmd": "auth",
-    "auth.ok": "auth_ok",
-    "auth.denied": "auth_denied",
-    "hold.cmd": "hold",
-    "hold.ok": "hold_ok",
-    "hold.err": "hold_err",
-    "credit.cmd": "credit",
-    "credit.ok": "credit_ok",
-    "credit.err": "credit_err",
-    "commit.cmd": "commit",
-    "commit.ok": "commit_ok",
-    "release.cmd": "release",
-    "release.ok": "release_ok",
-    "saga.result": "result",
-    "sync.batch": "sync_batch",
-    "sync.report": "sync_report",
+# schema field names that collide with (or are aliased by) the wallet_kv header keys
+_RENAMED = {"party": "acct", "op": "req_op"}
+
+
+def _cell_keys(name: str, kind: str) -> tuple[str, ...]:
+    if kind == "money":
+        # minor then ccy; the amount field keeps the legacy bare ccy key
+        return (name, "ccy" if name == "amount" else f"{name}_ccy")
+    return (_RENAMED.get(name, name),)
+
+
+# Per type, its body as (field, kind, cell keys) in schema order. Both native
+# formats write the same cells in the same order: bank_pipe by position,
+# wallet_kv under these keys.
+_LAYOUTS = {
+    msg_type: tuple((name, kind, _cell_keys(name, kind)) for name, kind in schema)
+    for msg_type, schema in BODY_SCHEMAS.items()
 }
-_TYPE_FOR_KV_OP = {v: k for k, v in _KV_OPS.items()}
+_HEAD_KEYS = ("id", "corr", "ts", "src", "dst", "op")
+# every key of a record, header first
+_RECORD_KEYS = {
+    msg_type: _HEAD_KEYS + tuple(key for _, _, keys in layout for key in keys)
+    for msg_type, layout in _LAYOUTS.items()
+}
+# wallet_kv writes a record's cells as one key=value line each
+_KV_TEMPLATES = {msg_type: "".join(f"{key}={{}}\n" for key in keys) for msg_type, keys in _RECORD_KEYS.items()}
 
 
 def encode_canonical(msg: CanonicalMessage) -> str:
@@ -150,10 +152,12 @@ def _require_valid(msg: CanonicalMessage) -> None:
         raise UnmappableField("; ".join(problems))
 
 
-def _pipe_cells(msg: CanonicalMessage) -> list[str]:
-    cells = [_PIPE_OPCODES[msg.msg_type]]
-    for name, kind in BODY_SCHEMAS[msg.msg_type]:
-        value = msg.body[name]
+def _cells(msg: CanonicalMessage, wire_name: str) -> list[str]:
+    """A validated message's record cells: the header, then the body per its layout."""
+    cells = [msg.message_id, msg.correlation_id, str(msg.timestamp), msg.source, msg.destination, wire_name]
+    body = msg.body
+    for name, kind, _ in _LAYOUTS[msg.msg_type]:
+        value = body[name]
         if kind == "party":
             cells.append(render_party(value))
         elif kind == "money":
@@ -164,10 +168,29 @@ def _pipe_cells(msg: CanonicalMessage) -> list[str]:
     return cells
 
 
+def _message(msg_type: str, cells: dict[str, str]) -> CanonicalMessage:
+    """Parse a record's cells, keyed as _RECORD_KEYS names them, into a message."""
+    body: dict = {}
+    try:
+        for name, kind, keys in _LAYOUTS[msg_type]:
+            if kind == "money":
+                body[name] = Money(cells[keys[1]], int(cells[keys[0]]))
+            elif kind == "party":
+                body[name] = parse_party(cells[keys[0]])
+            elif kind == "int":
+                body[name] = int(cells[keys[0]])
+            else:
+                body[name] = cells[keys[0]]
+        return CanonicalMessage(cells["id"], cells["corr"], msg_type, cells["src"], cells["dst"], int(cells["ts"]), body)
+    except KeyError as exc:
+        raise MalformedNative(f"{msg_type}: missing key {exc}") from None
+    except (ValueError, CanonicalError) as exc:
+        raise MalformedNative(f"{msg_type}: {exc}") from None
+
+
 def to_bank_pipe(msg: CanonicalMessage) -> str:
     _require_valid(msg)
-    head = [_PIPE_MAGIC, msg.message_id, msg.correlation_id, str(msg.timestamp), msg.source, msg.destination]
-    return "|".join(head + _pipe_cells(msg)) + "\n"
+    return "|".join([_PIPE_MAGIC, *_cells(msg, _WIRE_NAMES[msg.msg_type][0])]) + "\n"
 
 
 def from_bank_pipe(text: str) -> CanonicalMessage:
@@ -176,72 +199,18 @@ def from_bank_pipe(text: str) -> CanonicalMessage:
     cells = text[:-1].split("|")
     if len(cells) < 7 or cells[0] != _PIPE_MAGIC:
         raise MalformedNative("bad record header")
-    _, msg_id, corr, ts_text, src, dst, opcode = cells[:7]
-    msg_type = _TYPE_FOR_OPCODE.get(opcode)
+    msg_type = _TYPE_FOR_OPCODE.get(cells[6])
     if msg_type is None:
-        raise MalformedNative(f"unknown opcode: {opcode!r}")
-    try:
-        ts = int(ts_text)
-    except ValueError:
-        raise MalformedNative(f"bad ts: {ts_text!r}") from None
-    fields = cells[7:]
-    body: dict = {}
-    pos = 0
-    try:
-        for name, kind in BODY_SCHEMAS[msg_type]:
-            if kind == "money":
-                body[name] = Money(fields[pos + 1], int(fields[pos]))
-                pos += 2
-            elif kind == "party":
-                body[name] = parse_party(fields[pos])
-                pos += 1
-            elif kind == "int":
-                body[name] = int(fields[pos])
-                pos += 1
-            else:
-                body[name] = fields[pos]
-                pos += 1
-    except (IndexError, ValueError, CanonicalError) as exc:
-        raise MalformedNative(f"{msg_type}: {exc}") from None
-    if pos != len(fields):
-        raise MalformedNative(f"{msg_type}: {len(fields) - pos} trailing cells")
-    return CanonicalMessage(msg_id, corr, msg_type, src, dst, ts, body)
-
-
-def _kv_money_keys(name: str) -> tuple[str, str]:
-    # the amount field keeps the legacy bare ccy key
-    return (name, "ccy" if name == "amount" else f"{name}_ccy")
-
-
-# schema field names that collide with (or are aliased by) the header keys
-_KV_FIELD_KEYS = {"party": "acct", "op": "req_op"}
-
-
-def _kv_key(name: str) -> str:
-    return _KV_FIELD_KEYS.get(name, name)
+        raise MalformedNative(f"unknown opcode: {cells[6]!r}")
+    keys = _RECORD_KEYS[msg_type]
+    if len(cells) != 1 + len(keys):
+        raise MalformedNative(f"{msg_type}: {len(cells) - 7} body cells, expected {len(keys) - 6}")
+    return _message(msg_type, dict(zip(keys, cells[1:])))
 
 
 def to_wallet_kv(msg: CanonicalMessage) -> str:
     _require_valid(msg)
-    lines = [
-        f"id={msg.message_id}",
-        f"corr={msg.correlation_id}",
-        f"ts={msg.timestamp}",
-        f"src={msg.source}",
-        f"dst={msg.destination}",
-        f"op={_KV_OPS[msg.msg_type]}",
-    ]
-    for name, kind in BODY_SCHEMAS[msg.msg_type]:
-        value = msg.body[name]
-        if kind == "party":
-            lines.append(f"{_kv_key(name)}={render_party(value)}")
-        elif kind == "money":
-            minor_key, ccy_key = _kv_money_keys(name)
-            lines.append(f"{minor_key}={value.minor_units}")
-            lines.append(f"{ccy_key}={value.currency}")
-        else:
-            lines.append(f"{_kv_key(name)}={value}")
-    return "\n".join(lines) + "\n"
+    return _KV_TEMPLATES[msg.msg_type].format(*_cells(msg, _WIRE_NAMES[msg.msg_type][1]))
 
 
 def from_wallet_kv(text: str) -> CanonicalMessage:
@@ -255,64 +224,48 @@ def from_wallet_kv(text: str) -> CanonicalMessage:
         if key in pairs:
             raise MalformedNative(f"line {lineno}: duplicate key {key!r}")
         pairs[key] = value
-    for key in ("id", "corr", "ts", "src", "dst", "op"):
-        if key not in pairs:
-            raise MalformedNative(f"missing header key {key!r}")
+    if "op" not in pairs:
+        raise MalformedNative("missing header key 'op'")
     msg_type = _TYPE_FOR_KV_OP.get(pairs["op"])
     if msg_type is None:
         raise MalformedNative(f"unknown op: {pairs['op']!r}")
-    try:
-        ts = int(pairs["ts"])
-    except ValueError:
-        raise MalformedNative(f"bad ts: {pairs['ts']!r}") from None
-    consumed = {"id", "corr", "ts", "src", "dst", "op"}
-    body: dict = {}
-    try:
-        for name, kind in BODY_SCHEMAS[msg_type]:
-            if kind == "party":
-                key = _kv_key(name)
-                body[name] = parse_party(pairs[key])
-                consumed.add(key)
-            elif kind == "money":
-                minor_key, ccy_key = _kv_money_keys(name)
-                body[name] = Money(pairs[ccy_key], int(pairs[minor_key]))
-                consumed.update((minor_key, ccy_key))
-            elif kind == "int":
-                key = _kv_key(name)
-                body[name] = int(pairs[key])
-                consumed.add(key)
-            else:
-                key = _kv_key(name)
-                body[name] = pairs[key]
-                consumed.add(key)
-    except KeyError as exc:
-        raise MalformedNative(f"{msg_type}: missing key {exc}") from None
-    except (ValueError, CanonicalError) as exc:
-        raise MalformedNative(f"{msg_type}: {exc}") from None
-    extra = set(pairs) - consumed
+    msg = _message(msg_type, pairs)
+    extra = set(pairs).difference(_RECORD_KEYS[msg_type])
     if extra:
         raise MalformedNative(f"{msg_type}: unexpected keys {sorted(extra)}")
-    return CanonicalMessage(pairs["id"], pairs["corr"], msg_type, pairs["src"], pairs["dst"], ts, body)
+    return msg
+
+
+def _to_canonical(msg: CanonicalMessage) -> str:
+    _require_valid(msg)
+    return encode_canonical(msg) + "\n"
+
+
+def _from_canonical(text: str) -> CanonicalMessage:
+    if not text.endswith("\n"):
+        raise MalformedNative("record not newline-terminated")
+    return decode_canonical(text[:-1])
+
+
+# native format -> (encode, decode)
+_CODECS = {
+    "canonical": (_to_canonical, _from_canonical),
+    "bank_pipe": (to_bank_pipe, from_bank_pipe),
+    "wallet_kv": (to_wallet_kv, from_wallet_kv),
+}
+NATIVE_FORMATS = tuple(_CODECS)
+
+
+def _codec(fmt: str) -> tuple:
+    try:
+        return _CODECS[fmt]
+    except KeyError:
+        raise UnknownFormat(fmt) from None
 
 
 def to_native(msg: CanonicalMessage, fmt: str) -> str:
-    if fmt == "canonical":
-        _require_valid(msg)
-        return encode_canonical(msg) + "\n"
-    if fmt == "bank_pipe":
-        return to_bank_pipe(msg)
-    if fmt == "wallet_kv":
-        return to_wallet_kv(msg)
-    raise UnknownFormat(fmt)
+    return _codec(fmt)[0](msg)
 
 
 def from_native(text: str, fmt: str) -> CanonicalMessage:
-    if fmt == "canonical":
-        if not text.endswith("\n"):
-            raise MalformedNative("record not newline-terminated")
-        return decode_canonical(text[:-1])
-    if fmt == "bank_pipe":
-        return from_bank_pipe(text)
-    if fmt == "wallet_kv":
-        return from_wallet_kv(text)
-    raise UnknownFormat(fmt)
+    return _codec(fmt)[1](text)

@@ -5,6 +5,7 @@ import json
 
 from conftest import scenario_path
 from mmbus.cli import main
+from mmbus.server import SwitchServer
 
 
 def test_run_then_verify_then_replay(tmp_path, capsys):
@@ -52,3 +53,23 @@ def test_bad_scenario_reports_error(tmp_path, capsys):
 def test_missing_file_reports_error(capsys):
     assert main(["run", "--scenario", "/nonexistent/nope.json"]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_scenario_input_error_exits_2(tmp_path, capsys):
+    with open(scenario_path("happy_path"), encoding="utf-8") as fh:
+        obj = json.load(fh)
+    parties = ["wallet:MTNG:233240000001", "bank:ABBANK:ACC100"]
+    obj["traffic"].append({"generate": {"kind": "transfers", "channel": "ch:web", "parties": parties}})
+    path = tmp_path / "no_count.json"
+    path.write_text(json.dumps(obj))
+    assert main(["run", "--scenario", str(path)]) == 2
+    assert "generate.count: missing" in capsys.readouterr().err
+
+
+def test_serve_prints_address_and_stops_on_interrupt(monkeypatch, capsys):
+    def interrupted(self, poll_interval=0.5):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(SwitchServer, "serve_forever", interrupted)
+    assert main(["serve", "--scenario", scenario_path("happy_path"), "--listen", "127.0.0.1:0"]) == 0
+    assert "listening on 127.0.0.1:" in capsys.readouterr().out

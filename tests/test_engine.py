@@ -245,6 +245,17 @@ def test_duplicate_reply_is_stale_noop():
     assert loop.journal.records[-1]["event"]["kind"] == "stale"
 
 
+def test_reply_off_the_transition_table_is_stale():
+    loop = Loop()
+    saga_id, _ = loop.submit()
+    emitted_before = len(loop.emitted)
+    # names the outstanding authorize command, but AUTH_PENDING has no hold.ok edge
+    loop.reply("hold.ok")
+    assert loop.saga(saga_id).state is SagaState.AUTH_PENDING
+    assert len(loop.emitted) == emitted_before
+    assert loop.journal.records[-1]["event"] == {"kind": "stale", "about": f"r-{emitted_before}"}
+
+
 def test_stale_timer_is_ignored():
     loop = Loop()
     saga_id, _ = loop.submit()

@@ -210,6 +210,13 @@ def test_watchdog_aborts_runaway_run():
         run_scenario(scenario)
 
 
+def add_generator(obj, **fields):
+    gen = {"kind": "transfers", "count": 3, "channel": "ch:web",
+           "parties": ["wallet:MTNG:233240000001", "bank:ABBANK:ACC100"]}
+    gen.update(fields)
+    obj["traffic"].append({"generate": {k: v for k, v in gen.items() if v is not None}})
+
+
 @pytest.mark.parametrize(
     "mutate,fragment",
     [
@@ -228,6 +235,15 @@ def test_watchdog_aborts_runaway_run():
         (lambda o: o["traffic"][0].pop("line"), "needs line or frame"),
         (lambda o: o["faults"].append({"action": "jitter"}) if "faults" in o else o.update(faults=[{"action": "jitter"}]),
          r"faults\[0\]"),
+        (lambda o: o["endpoints"][0].__setitem__("per_txn_cap", "999999.00"),
+         r"endpoints\[0\]: MTNG: per_txn_cap exceeds daily_cap"),
+        (lambda o: o["endpoints"][0]["fee"].__setitem__("basis_points", -1),
+         r"endpoints\[0\]: basis_points must be >= 0"),
+        (lambda o: o["rules"][0].__setitem__("priority", "x"), r"rules\[0\]\.priority: must be an integer, got 'x'"),
+        (lambda o: o["traffic"][0].__setitem__("tick", None), r"traffic\[0\]\.tick: must be an integer, got None"),
+        (lambda o: add_generator(o, count=None), r"traffic\[\d+\]\.generate\.count: missing"),
+        (lambda o: add_generator(o, channel="ch:gone"), r"generate\.channel: unknown channel 'ch:gone'"),
+        (lambda o: add_generator(o, kind="bursts"), r"generate\.kind: unknown kind 'bursts'"),
     ],
 )
 def test_scenario_diagnostics_carry_field_paths(mutate, fragment):
