@@ -159,6 +159,24 @@ def test_wire_bytes_pinned(msg_type):
     assert from_wallet_kv(kv) == msg
 
 
+def test_bank_pipe_hold_layout():
+    """The ledger-facing hold record ends in opcode|saga|account|minor|ccy."""
+    msg = mk("hold.cmd", {"saga": "sg-000007", "party": B1, "amount": ghs(3333)}, mid="eg-000003", src="ENGINE", dst="ABBANK", ts=12)
+    line = to_bank_pipe(msg)
+    assert line.endswith("\n")
+    cells = line[:-1].split("|")
+    assert cells[:6] == ["MMB1", "eg-000003", "eg-000003", "12", "ENGINE", "ABBANK"]
+    assert cells[6:] == ["HOLD", "sg-000007", "bank:ABBANK:ACC200", "3333", "GHS"]
+
+
+def test_wallet_kv_hold_layout():
+    """Header keys first, then the op block in schema order."""
+    msg = mk("hold.cmd", {"saga": "sg-000007", "party": W1, "amount": ghs(2500)}, mid="eg-000003", src="ENGINE", dst="MTNG", ts=12)
+    text = to_wallet_kv(msg)
+    assert text.startswith("id=eg-000003\ncorr=eg-000003\nts=12\nsrc=ENGINE\ndst=MTNG\n")
+    assert text.endswith("op=hold\nsaga=sg-000007\nacct=wallet:MTNG:233240000011\namount=2500\nccy=GHS\n")
+
+
 def test_canonical_wire_shape():
     msg = mk("transfer.request", SAMPLES["transfer.request"], mid="N1-000042", ts=7)
     obj = json.loads(encode_canonical(msg))
