@@ -6,8 +6,9 @@ clock and executes the resulting deliveries.
 """
 from __future__ import annotations
 
-import dataclasses
+from bisect import insort
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable
 
 from .canonical import (
@@ -80,32 +81,34 @@ class RoutingRule:
 
 
 class RoutingTable:
+    """Rules indexed by msg_type: each type's candidates, any-type rules merged in, by (priority, insertion)."""
+
     def __init__(self) -> None:
-        self._rules: list[RoutingRule] = []
         self._ids: set[str] = set()
+        self._any_type: list[RoutingRule] = []  # the candidates of a type no rule names
+        self._by_type: dict[str, list[RoutingRule]] = {}
 
     def add(self, rule: RoutingRule) -> None:
         if rule.rule_id in self._ids:
             raise BusError(f"duplicate rule id: {rule.rule_id}")
         self._ids.add(rule.rule_id)
-        self._rules.append(rule)
+        if rule.msg_type is None:
+            lists = [self._any_type, *self._by_type.values()]
+        else:
+            types = {rule.msg_type} if isinstance(rule.msg_type, str) else set(rule.msg_type)
+            lists = [self._by_type.setdefault(t, list(self._any_type)) for t in types]
+        for candidates in lists:
+            # after every rule of equal priority: insertion order breaks ties
+            insort(candidates, rule, key=attrgetter("priority"))
 
     def route(self, msg: CanonicalMessage) -> str:
-        best: tuple[int, int] | None = None
-        target: str | None = None
-        for index, rule in enumerate(self._rules):
-            if not rule.matches(msg):
-                continue
-            key = (rule.priority, index)
-            if best is None or key < best:
-                best = key
-                target = rule.target
-        if target is None:
-            raise NoRoute(f"{msg.msg_type} {msg.message_id}: no rule matched")
-        return target
+        for rule in self._by_type.get(msg.msg_type, self._any_type):
+            if rule.matches(msg):
+                return rule.target
+        raise NoRoute(f"{msg.msg_type} {msg.message_id}: no rule matched")
 
 
-@dataclass
+@dataclass(slots=True)
 class DeliveryReceipt:
     msg_id: str
     msg_type: str
@@ -127,7 +130,7 @@ class DeliveryReceipt:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class Delivery:
     target: str
     msg: CanonicalMessage
@@ -135,7 +138,7 @@ class Delivery:
     receipt: DeliveryReceipt
 
 
-@dataclass
+@dataclass(slots=True)
 class DispatchDecision:
     deliveries: list[Delivery] = field(default_factory=list)
     receipts: list[DeliveryReceipt] = field(default_factory=list)
@@ -145,6 +148,12 @@ class DispatchDecision:
 
 _ROUTED_FROM_BUS = COMMAND_TYPES | {"balance.request"}
 _ENGINE_BOUND = REQUEST_TYPES | REPLY_TYPES | {"sync.batch", "sync.report"}
+
+# what a dispatch does: a (receipt outcome, delivery delay) per receipt; no delay, no delivery
+_REFUSED = (("refused", None),)
+_DELIVERED = (("delivered", BASE_LATENCY),)
+_DROPPED = (("dropped", None),)
+_DUPLICATED = (("delivered", BASE_LATENCY), ("duplicated", BASE_LATENCY))
 
 
 class ServiceBus:
@@ -170,43 +179,38 @@ class ServiceBus:
             return ENGINE_NODE, msg
         if msg.msg_type in _ROUTED_FROM_BUS:
             target = self.routes.route(msg)
-            return target, dataclasses.replace(msg, destination=target)
+            mid, corr, msg_type, source, _, timestamp, body = msg
+            return target, CanonicalMessage(mid, corr, msg_type, source, target, timestamp, body)
         raise BusError(f"{msg.msg_type}: undeliverable destination 'bus'")
 
     def dispatch(self, msg: CanonicalMessage, tick: int) -> DispatchDecision:
         target, routed = self.resolve(msg)
-        attempt = self.attempts.get(msg.message_id, 0) + 1
-        self.attempts[msg.message_id] = attempt
+        message_id, msg_type = msg.message_id, msg.msg_type
+        attempt = self.attempts.get(message_id, 0) + 1
+        self.attempts[message_id] = attempt
         decision = DispatchDecision()
-
-        def receipt(outcome: str, deliver_tick: int | None) -> DeliveryReceipt:
-            r = DeliveryReceipt(msg.message_id, msg.msg_type, target, outcome, attempt, tick, deliver_tick)
-            decision.receipts.append(r)
-            return r
-
-        if self.permits(target, msg.msg_type) is False:
+        if self.permits(target, msg_type) is False:
             # contract gate: the target never sees a message it does not expose
-            receipt("refused", None)
-            return decision
-
-        directive = self.injector.decide(msg.msg_type)
-        if directive is None:
-            r = receipt("delivered", tick + BASE_LATENCY)
-            decision.deliveries.append(Delivery(target, routed, BASE_LATENCY, r))
-        elif directive.action is FaultAction.DROP:
-            receipt("dropped", None)
-        elif directive.action is FaultAction.DUPLICATE:
-            r1 = receipt("delivered", tick + BASE_LATENCY)
-            r2 = receipt("duplicated", tick + BASE_LATENCY)
-            decision.deliveries.append(Delivery(target, routed, BASE_LATENCY, r1))
-            decision.deliveries.append(Delivery(target, routed, BASE_LATENCY, r2))
-        elif directive.action is FaultAction.DELAY:
-            r = receipt("delayed", tick + directive.delay_ticks)
-            decision.deliveries.append(Delivery(target, routed, directive.delay_ticks, r))
-        elif directive.action is FaultAction.CRASH_ENDPOINT:
-            receipt("dropped", None)
-            decision.crash_endpoint = (target, directive.restart_after)
-        elif directive.action is FaultAction.CRASH_BUS:
-            receipt("dropped", None)
-            decision.crash_bus = True
+            plan = _REFUSED
+        else:
+            directive = self.injector.decide(msg_type)
+            if directive is None:
+                plan = _DELIVERED
+            elif directive.action is FaultAction.DUPLICATE:
+                plan = _DUPLICATED
+            elif directive.action is FaultAction.DELAY:
+                plan = (("delayed", directive.delay_ticks),)
+            else:
+                plan = _DROPPED
+                if directive.action is FaultAction.CRASH_ENDPOINT:
+                    decision.crash_endpoint = (target, directive.restart_after)
+                elif directive.action is FaultAction.CRASH_BUS:
+                    decision.crash_bus = True
+        for outcome, delay in plan:
+            receipt = DeliveryReceipt(
+                message_id, msg_type, target, outcome, attempt, tick, None if delay is None else tick + delay
+            )
+            decision.receipts.append(receipt)
+            if delay is not None:
+                decision.deliveries.append(Delivery(target, routed, delay, receipt))
         return decision

@@ -5,9 +5,11 @@ derived from it by the transform layer and must round-trip losslessly.
 """
 from __future__ import annotations
 
+import json
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from enum import Enum
+from typing import NamedTuple
 
 
 class CanonicalError(Exception):
@@ -37,34 +39,41 @@ _IDENT_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 _INSTITUTION_RE = re.compile(r"^[A-Za-z0-9_-]+$")
 
 
-@dataclass(frozen=True)
-class Money:
-    """An amount in integer minor units of a single currency."""
+# compact JSON, the same bytes as json.dumps(obj, separators=(",", ":")) without an encoder per call
+compact_json = json.JSONEncoder(separators=(",", ":")).encode
 
-    currency: str
-    minor_units: int
 
-    def __post_init__(self) -> None:
-        if not _CCY_RE.match(self.currency):
-            raise BadCurrency(f"bad currency code: {self.currency!r}")
-        if not isinstance(self.minor_units, int) or isinstance(self.minor_units, bool):
-            raise MalformedAmount(f"minor_units must be int, got {self.minor_units!r}")
+class Money(namedtuple("Money", "currency minor_units")):
+    """An amount in integer minor units of a single currency; an immutable tuple."""
+
+    __slots__ = ()
+
+    def __new__(cls, currency: str, minor_units: int) -> "Money":
+        if not _CCY_RE.match(currency):
+            raise BadCurrency(f"bad currency code: {currency!r}")
+        if not isinstance(minor_units, int) or isinstance(minor_units, bool):
+            raise MalformedAmount(f"minor_units must be int, got {minor_units!r}")
+        return tuple.__new__(cls, (currency, minor_units))
 
     def _check(self, other: "Money") -> None:
         if self.currency != other.currency:
             raise CurrencyMismatch(f"{self.currency} vs {other.currency}")
 
+    # the sum or difference of two checked amounts of one currency needs no new checks
     def __add__(self, other: "Money") -> "Money":
         self._check(other)
-        return Money(self.currency, self.minor_units + other.minor_units)
+        return tuple.__new__(Money, (self.currency, self.minor_units + other.minor_units))
 
     def __sub__(self, other: "Money") -> "Money":
         self._check(other)
-        return Money(self.currency, self.minor_units - other.minor_units)
+        return tuple.__new__(Money, (self.currency, self.minor_units - other.minor_units))
 
     def __lt__(self, other: "Money") -> bool:
         self._check(other)
         return self.minor_units < other.minor_units
+
+    # not tuple order, which would compare currency codes first: > reflects to __lt__, <= and >= raise TypeError
+    __gt__, __le__, __ge__ = object.__gt__, object.__le__, object.__ge__
 
 
 def make_money(currency: str, text: str) -> Money:
@@ -98,6 +107,9 @@ class PartyKind(Enum):
     FEE_POT = "fee_pot"
     FLOAT = "float"
 
+    # members are singletons: hash by identity, not Enum's Python-level hash of the name
+    __hash__ = object.__hash__
+
 
 # wire token <-> kind; wallet/bank/agent are customer-facing kinds
 _KIND_TOKENS = {
@@ -114,22 +126,20 @@ CUSTOMER_KINDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class PartyRef:
-    """A ledger-addressable party: kind, owning institution, identifier."""
+class PartyRef(namedtuple("PartyRef", "kind institution identifier")):
+    """A ledger-addressable party: kind, owning institution, identifier; an immutable tuple."""
 
-    kind: PartyKind
-    institution: str
-    identifier: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not _INSTITUTION_RE.match(self.institution):
-            raise MalformedParty(f"bad institution: {self.institution!r}")
-        if self.kind is PartyKind.WALLET:
-            if not _MSISDN_RE.match(self.identifier):
-                raise MalformedParty(f"wallet identifier must be a 9-15 digit msisdn: {self.identifier!r}")
-        elif not _IDENT_RE.match(self.identifier):
-            raise MalformedParty(f"bad identifier: {self.identifier!r}")
+    def __new__(cls, kind: PartyKind, institution: str, identifier: str) -> "PartyRef":
+        if not _INSTITUTION_RE.match(institution):
+            raise MalformedParty(f"bad institution: {institution!r}")
+        if kind is PartyKind.WALLET:
+            if not _MSISDN_RE.match(identifier):
+                raise MalformedParty(f"wallet identifier must be a 9-15 digit msisdn: {identifier!r}")
+        elif not _IDENT_RE.match(identifier):
+            raise MalformedParty(f"bad identifier: {identifier!r}")
+        return tuple.__new__(cls, (kind, institution, identifier))
 
 
 def parse_party(text: str) -> PartyRef:
@@ -207,9 +217,8 @@ REPLY_TYPES = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class CanonicalMessage:
-    """The bus-internal message envelope.
+class CanonicalMessage(NamedTuple):
+    """The bus-internal message envelope; an immutable tuple.
 
     destination is an endpoint/channel id or "bus" (route me);
     correlation_id ties every derived message back to the originating
@@ -222,19 +231,11 @@ class CanonicalMessage:
     source: str
     destination: str
     timestamp: int
-    body: dict = field(default_factory=dict)
+    body: dict
 
     def reply(self, msg_type: str, body: dict, message_id: str, source: str) -> "CanonicalMessage":
         """Build a reply addressed back to this message's source, same correlation."""
-        return CanonicalMessage(
-            message_id=message_id,
-            correlation_id=self.correlation_id,
-            msg_type=msg_type,
-            source=source,
-            destination=self.source,
-            timestamp=self.timestamp,
-            body=body,
-        )
+        return CanonicalMessage(message_id, self.correlation_id, msg_type, source, self.source, self.timestamp, body)
 
 
 # transport-hostile characters are rejected up front so every native
@@ -242,22 +243,8 @@ class CanonicalMessage:
 _UNSAFE_STR = re.compile(r"[|\n\r\x00-\x08\x0b-\x1f]")
 
 
-def _field_violations(name: str, kind: str, value: object) -> list[str]:
-    if kind == "party":
-        if not isinstance(value, PartyRef):
-            return [f"body.{name}: expected party, got {type(value).__name__}"]
-    elif kind == "money":
-        if not isinstance(value, Money):
-            return [f"body.{name}: expected money, got {type(value).__name__}"]
-    elif kind == "str":
-        if not isinstance(value, str):
-            return [f"body.{name}: expected str, got {type(value).__name__}"]
-        if _UNSAFE_STR.search(value):
-            return [f"body.{name}: unsafe characters"]
-    elif kind == "int":
-        if not isinstance(value, int) or isinstance(value, bool):
-            return [f"body.{name}: expected int, got {type(value).__name__}"]
-    return []
+# the type a party, money or str field holds (an int field also refuses bool)
+_EXPECTED = {"party": PartyRef, "money": Money, "str": str}
 
 
 def validate_message(msg: CanonicalMessage) -> list[str]:
@@ -265,20 +252,37 @@ def validate_message(msg: CanonicalMessage) -> list[str]:
     schema = BODY_SCHEMAS.get(msg.msg_type)
     if schema is None:
         return [f"msg_type: unknown type {msg.msg_type!r}"]
+    body = msg.body
     out: list[str] = []
-    seen = set()
+    present = 0
+    currency = None
+    mixed = False
     for name, kind in schema:
-        seen.add(name)
-        if name not in msg.body:
+        if name not in body:
             out.append(f"body.{name}: missing")
             continue
-        out.extend(_field_violations(name, kind, msg.body[name]))
-    for name in msg.body:
-        if name not in seen:
-            out.append(f"body.{name}: unknown field")
-    currencies = {v.currency for v in msg.body.values() if isinstance(v, Money)}
-    if len(currencies) > 1:
-        out.append(f"body: cross-currency amounts {sorted(currencies)}")
+        present += 1
+        value = body[name]
+        if kind == "int":
+            if not isinstance(value, int) or isinstance(value, bool):
+                out.append(f"body.{name}: expected int, got {type(value).__name__}")
+        elif not isinstance(value, _EXPECTED[kind]):
+            out.append(f"body.{name}: expected {kind}, got {type(value).__name__}")
+        elif kind == "money":
+            if currency is None:
+                currency = value.currency
+            elif value.currency != currency:
+                mixed = True
+        elif kind == "str" and _UNSAFE_STR.search(value):
+            out.append(f"body.{name}: unsafe characters")
+    if present != len(body):
+        names = {name for name, _ in schema}
+        out.extend(f"body.{name}: unknown field" for name in body if name not in names)
+    if mixed or out:
+        # a clean body holds money only in its money fields; any other body is checked whole
+        currencies = {v.currency for v in body.values() if isinstance(v, Money)}
+        if len(currencies) > 1:
+            out.append(f"body: cross-currency amounts {sorted(currencies)}")
     if not msg.message_id:
         out.append("message_id: empty")
     if not msg.correlation_id:
@@ -323,6 +327,6 @@ def body_from_json(msg_type: str, raw: dict) -> dict:
         else:
             out[name] = value
     for name in raw:
-        if name not in {n for n, _ in schema}:
-            out[name] = raw[name]  # surfaces as a validation violation
+        if name not in out:  # not a schema field: surfaces as a validation violation
+            out[name] = raw[name]
     return out

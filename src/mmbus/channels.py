@@ -7,7 +7,7 @@ past the channel boundary.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
@@ -19,6 +19,7 @@ from .canonical import (
     Money,
     PartyKind,
     PartyRef,
+    compact_json,
     make_money,
     render_money,
     render_party,
@@ -26,8 +27,6 @@ from .canonical import (
     validate_message,
 )
 from .transform import MalformedNative, decode_canonical, encode_canonical
-import dataclasses
-import json
 
 
 class ChannelError(Exception):
@@ -51,7 +50,7 @@ class Transcript:
 
 
 def _error_line(code: str, detail: str) -> str:
-    return json.dumps({"v": 1, "error": code, "detail": detail}, separators=(",", ":"))
+    return compact_json({"v": 1, "error": code, "detail": detail})
 
 
 class GatewayChannel:
@@ -85,7 +84,9 @@ class GatewayChannel:
         if msg.message_id in self.seen_ids:
             return [_error_line("duplicate_id", msg.message_id)]
         self.seen_ids.add(msg.message_id)
-        msg = dataclasses.replace(msg, source=self.channel_id, timestamp=tick)
+        # stamped with this connection and the arrival tick, whatever the line claimed
+        mid, corr, msg_type, _, destination, _, body = msg
+        msg = CanonicalMessage(mid, corr, msg_type, self.channel_id, destination, tick, body)
         violations = validate_message(msg)
         if violations:
             return [_error_line("invalid", "; ".join(violations))]
@@ -95,7 +96,7 @@ class GatewayChannel:
             saga_id = self.submit(msg)
             if saga_id is None:
                 return [_error_line("unavailable", "switch not reachable, retry later")]
-            return [json.dumps({"v": 1, "accepted": msg.message_id, "saga": saga_id}, separators=(",", ":"))]
+            return [compact_json({"v": 1, "accepted": msg.message_id, "saga": saga_id})]
         if msg.msg_type == "balance.request":
             reply = self.query_balance(msg)
             if reply is None:

@@ -18,6 +18,10 @@ from .harness import (
 )
 
 
+class UsageError(Exception):
+    pass
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     with open(args.scenario, encoding="utf-8") as fh:
         obj = json.load(fh)
@@ -81,6 +85,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .server import SwitchServer
 
     host, _, port = args.listen.rpartition(":")
+    if not port.isdecimal() or int(port) > 65535:
+        raise UsageError(f"--listen {args.listen!r}: port must be an integer from 0 to 65535")
     scenario = load_scenario(args.scenario)
     with SwitchServer(scenario, host or "127.0.0.1", int(port)) as server:
         addr = server.server_address
@@ -120,7 +126,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (InvalidScenario, RunError, FileNotFoundError) as exc:
+    except (InvalidScenario, RunError, UsageError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,6 +21,7 @@ from .canonical import (
     IdGenerator,
     Money,
     PartyRef,
+    compact_json,
     parse_party,
     render_party,
 )
@@ -90,8 +91,9 @@ _OUTSTANDING_TYPE = {
     SagaState.COMPENSATING: "release.cmd",
 }
 
-# journal state names to states, without Enum's by-value lookup
+# journal state names to states and back, without Enum's by-value lookup or value descriptor
 _STATE_BY_NAME = {state.value: state for state in SagaState}
+_NAME_OF_STATE = {state: state.value for state in SagaState}
 
 
 def next_state(state: SagaState, event: dict) -> SagaState:
@@ -112,7 +114,7 @@ def next_state(state: SagaState, event: dict) -> SagaState:
     return to_state
 
 
-@dataclass
+@dataclass(slots=True)
 class Saga:
     saga_id: str
     kind: str
@@ -175,7 +177,7 @@ def saga_row(saga: Saga) -> dict:
         "saga": saga.saga_id,
         "kind": saga.kind,
         "client_ref": saga.client_ref,
-        "state": saga.state.value,
+        "state": _NAME_OF_STATE[saga.state],
         "reason": saga.reason,
         "from": render_party(saga.source),
         "to": render_party(saga.destination),
@@ -213,7 +215,7 @@ class Journal:
         record["seq"] = self.seq
         self.records.append(record)
         if self._fh is not None:
-            self._fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+            self._fh.write(compact_json(record) + "\n")
             self._fh.flush()
             os.fsync(self._fh.fileno())
 
@@ -399,9 +401,9 @@ class ProcessEngine:
             {
                 "tick": self.now(),
                 "saga": saga.saga_id,
-                "from_state": from_state.value,
+                "from_state": _NAME_OF_STATE[from_state],
                 "event": event,
-                "to_state": to_state.value,
+                "to_state": _NAME_OF_STATE[to_state],
                 "cmds": [] if msg is None else [msg.message_id],
             }
         )
@@ -428,25 +430,12 @@ class ProcessEngine:
 
     def _cmd(self, saga: Saga, msg_type: str, message_id: str) -> CanonicalMessage:
         return CanonicalMessage(
-            message_id=message_id,
-            correlation_id=saga.request_corr,
-            msg_type=msg_type,
-            source="bus",
-            destination="bus",
-            timestamp=self.now(),
-            body=_command_body(saga, msg_type),
+            message_id, saga.request_corr, msg_type, "bus", "bus", self.now(), _command_body(saga, msg_type)
         )
 
     def _result(self, saga: Saga, state: SagaState) -> CanonicalMessage:
-        return CanonicalMessage(
-            message_id=self.ids.next(),
-            correlation_id=saga.request_corr,
-            msg_type="saga.result",
-            source="bus",
-            destination=saga.reply_to,
-            timestamp=self.now(),
-            body={"saga": saga.saga_id, "client_ref": saga.client_ref, "state": state.value, "reason": saga.reason},
-        )
+        body = {"saga": saga.saga_id, "client_ref": saga.client_ref, "state": _NAME_OF_STATE[state], "reason": saga.reason}
+        return CanonicalMessage(self.ids.next(), saga.request_corr, "saga.result", "bus", saga.reply_to, self.now(), body)
 
     # -- recovery ---------------------------------------------------------
 

@@ -31,6 +31,7 @@ from .canonical import (
     CanonicalMessage,
     Money,
     PartyRef,
+    compact_json,
     make_money,
     parse_party,
     render_party,
@@ -129,6 +130,24 @@ def _req(obj: dict, key: str, path: str):
     return obj[key]
 
 
+def _objects(obj: dict, key: str, path: str) -> list[dict]:
+    """A list-of-objects field; anything else is an error at its path."""
+    items = obj.get(key, [])
+    if not isinstance(items, list):
+        raise _fail(f"{path}.{key}", "must be a list")
+    for i, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise _fail(f"{path}.{key}[{i}]", "must be an object")
+    return items
+
+
+def _object(obj: dict, key: str, path: str, default: dict) -> dict:
+    value = obj.get(key, default)
+    if not isinstance(value, dict):
+        raise _fail(f"{path}.{key}", "must be an object")
+    return value
+
+
 def _int(obj: dict, key: str, path: str, default: int | None = None) -> int:
     """An integer field; a missing one takes the default, or is an error without one."""
     value = _req(obj, key, path) if default is None else obj.get(key, default)
@@ -169,13 +188,13 @@ def scenario_from_obj(obj: dict, name: str) -> Scenario:
         max_ticks=_int(obj, "max_ticks", name, 100_000),
         bus_restart_ticks=_int(obj, "bus_restart_ticks", name, 5),
         torn_tail=bool(obj.get("torn_tail", False)),
-        expected=obj.get("expected", {}),
+        expected=_object(obj, "expected", name, {}),
     )
     if scenario.ticks_per_day < 1:
         raise _fail(f"{name}.ticks_per_day", "must be >= 1")
 
     seen_endpoints: set[str] = set()
-    for i, ep in enumerate(obj.get("endpoints", [])):
+    for i, ep in enumerate(_objects(obj, "endpoints", name)):
         path = f"{name}.endpoints[{i}]"
         endpoint_id = _req(ep, "id", path)
         if endpoint_id in seen_endpoints:
@@ -184,9 +203,9 @@ def scenario_from_obj(obj: dict, name: str) -> Scenario:
         fmt = ep.get("native_format", "canonical")
         if fmt not in NATIVE_FORMATS:
             raise _fail(f"{path}.native_format", f"unknown format {fmt!r}")
-        fee = ep.get("fee", {"flat": "0", "basis_points": 0, "fee_cap": "0"})
+        fee = _object(ep, "fee", path, {"flat": "0", "basis_points": 0, "fee_cap": "0"})
         accounts = []
-        for j, acct in enumerate(ep.get("accounts", [])):
+        for j, acct in enumerate(_objects(ep, "accounts", path)):
             apath = f"{path}.accounts[{j}]"
             party = _party(_req(acct, "party", apath), apath)
             if party.institution != endpoint_id:
@@ -217,7 +236,7 @@ def scenario_from_obj(obj: dict, name: str) -> Scenario:
         float_minor = _money(ep.get("float", "0"), currency, f"{path}.float").minor_units
         scenario.endpoints.append(EndpointSpec(contract, float_minor, accounts))
 
-    for i, rule in enumerate(obj.get("rules", [])):
+    for i, rule in enumerate(_objects(obj, "rules", name)):
         path = f"{name}.rules[{i}]"
         priority = _int(rule, "priority", path)
         if priority < 0:
@@ -225,7 +244,7 @@ def scenario_from_obj(obj: dict, name: str) -> Scenario:
         target = _req(rule, "target", path)
         if target not in seen_endpoints:
             raise _fail(f"{path}.target", f"unknown endpoint {target!r}")
-        match = rule.get("match", {})
+        match = _object(rule, "match", path, {})
         unknown = set(match) - {"msg_type", "party_kind", "party_institution", "amount_min", "amount_max"}
         if unknown:
             raise _fail(f"{path}.match", f"unknown matchers {sorted(unknown)}")
@@ -248,7 +267,7 @@ def scenario_from_obj(obj: dict, name: str) -> Scenario:
         )
 
     seen_channels: set[str] = set()
-    for i, ch in enumerate(obj.get("channels", [])):
+    for i, ch in enumerate(_objects(obj, "channels", name)):
         path = f"{name}.channels[{i}]"
         channel_id = _req(ch, "id", path)
         protocol = _req(ch, "protocol", path)
@@ -261,7 +280,7 @@ def scenario_from_obj(obj: dict, name: str) -> Scenario:
         seen_channels.add(channel_id)
         scenario.channels.append(ChannelSpec(channel_id, protocol, ch.get("institution", "")))
 
-    for i, item in enumerate(obj.get("traffic", [])):
+    for i, item in enumerate(_objects(obj, "traffic", name)):
         path = f"{name}.traffic[{i}]"
         if "generate" in item:
             gen = _generator(item["generate"], len(scenario.generators), seen_channels, currency, f"{path}.generate")
@@ -275,21 +294,21 @@ def scenario_from_obj(obj: dict, name: str) -> Scenario:
             raise _fail(path, "needs line or frame")
         scenario.traffic.append(TrafficItem(_int(item, "tick", path), channel, text))
 
-    for i, f in enumerate(obj.get("faults", [])):
+    for i, f in enumerate(_objects(obj, "faults", name)):
         path = f"{name}.faults[{i}]"
         try:
             scenario.faults.append(parse_directive(f))
         except Exception as exc:
             raise _fail(path, str(exc)) from None
 
-    for i, agent in enumerate(obj.get("agents", [])):
+    for i, agent in enumerate(_objects(obj, "agents", name)):
         path = f"{name}.agents[{i}]"
         agent_id = _req(agent, "endpoint", path)
         channel_id = agent.get("channel", f"agent:{agent_id}")
         if channel_id in seen_channels:
             raise _fail(f"{path}.channel", f"collides with channel {channel_id!r}")
         items = []
-        for j, q in enumerate(agent.get("queue", [])):
+        for j, q in enumerate(_objects(agent, "queue", path)):
             qpath = f"{path}.queue[{j}]"
             items.append(
                 QueueItem(
@@ -366,7 +385,7 @@ def expand_generator(gen: GeneratorSpec, seed: int, currency: str) -> list[Traff
             src, dst = rng.sample(gen.parties, 2)
         amount = rng.randint(gen.amount_min, gen.amount_max)
         ref = f"{gen.ref_prefix}-{i + 1:06d}"
-        line = json.dumps(
+        line = compact_json(
             {
                 "v": 1,
                 "id": ref,
@@ -380,8 +399,7 @@ def expand_generator(gen: GeneratorSpec, seed: int, currency: str) -> list[Traff
                     "amount": {"ccy": currency, "minor": amount},
                     "client_ref": ref,
                 },
-            },
-            separators=(",", ":"),
+            }
         )
         items.append(TrafficItem(gen.start_tick + i * gen.spacing, channel, line))
     return items

@@ -7,6 +7,7 @@ inside one ledger and the global sum of posted balances is constant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .canonical import (
     CUSTOMER_KINDS,
@@ -49,8 +50,7 @@ class Account:
         return self.posted - self.held
 
 
-@dataclass(frozen=True)
-class Entry:
+class Entry(NamedTuple):
     seq: int
     tick: int
     saga: str
@@ -83,6 +83,9 @@ class Ledger:
         self.replies: dict[str, LedgerResult] = {}  # command id -> effect result
         self.open_account(float_party(endpoint_id), float_minor)
         self.open_account(fee_pot_party(endpoint_id), 0)
+        # the posting keys of the two house accounts, rendered once
+        self.float_key = render_party(float_party(endpoint_id))
+        self.fee_pot_key = render_party(fee_pot_party(endpoint_id))
 
     def open_account(self, party: PartyRef, initial_minor: int) -> Account:
         key = render_party(party)
@@ -110,13 +113,7 @@ class Ledger:
                     raise InsufficientAvailable(key)
         for key, delta in legs:
             self.accounts[key].posted += delta
-        entry = Entry(
-            seq=len(self.entries) + 1,
-            tick=tick,
-            saga=saga,
-            cmd=cmd,
-            legs=tuple((key, delta) for key, delta in legs),
-        )
+        entry = Entry(len(self.entries) + 1, tick, saga, cmd, tuple(legs))
         self.entries.append(entry)
         return entry
 
@@ -161,7 +158,7 @@ class Ledger:
             tick,
             saga,
             cmd,
-            [(render_party(float_party(self.endpoint_id)), -amount.minor_units), (render_party(party), amount.minor_units)],
+            [(self.float_key, -amount.minor_units), (render_party(party), amount.minor_units)],
         )
         return self._finish(cmd, _OK)
 
@@ -180,9 +177,9 @@ class Ledger:
         account = self.accounts[held_party]
         account.held -= held_minor
         del self.holds[saga]
-        legs = [(held_party, -total), (render_party(float_party(self.endpoint_id)), amount.minor_units)]
+        legs = [(held_party, -total), (self.float_key, amount.minor_units)]
         if fee.minor_units:
-            legs.append((render_party(fee_pot_party(self.endpoint_id)), fee.minor_units))
+            legs.append((self.fee_pot_key, fee.minor_units))
         self.post(tick, saga, cmd, legs)
         return self._finish(cmd, _OK)
 

@@ -14,6 +14,7 @@ from .canonical import (
     Money,
     body_from_json,
     body_to_json,
+    compact_json,
     parse_party,
     render_party,
     validate_message,
@@ -105,7 +106,7 @@ def encode_canonical(msg: CanonicalMessage) -> str:
         "dst": msg.destination,
         "body": body_to_json(msg.msg_type, msg.body),
     }
-    return json.dumps(obj, separators=(",", ":"))
+    return compact_json(obj)
 
 
 def decode_canonical(line: str) -> CanonicalMessage:
@@ -135,15 +136,7 @@ def decode_canonical(line: str) -> CanonicalMessage:
             body = body_from_json(msg_type, body_raw)
         except CanonicalError as exc:
             raise MalformedNative(str(exc)) from None
-    return CanonicalMessage(
-        message_id=obj["id"],
-        correlation_id=obj["corr"],
-        msg_type=msg_type,
-        source=obj["src"],
-        destination=obj["dst"],
-        timestamp=ts,
-        body=body,
-    )
+    return CanonicalMessage(obj["id"], obj["corr"], msg_type, obj["src"], obj["dst"], ts, body)
 
 
 def _require_valid(msg: CanonicalMessage) -> None:
@@ -213,26 +206,39 @@ def to_wallet_kv(msg: CanonicalMessage) -> str:
     return _KV_TEMPLATES[msg.msg_type].format(*_cells(msg, _WIRE_NAMES[msg.msg_type][1]))
 
 
+def _kv_line_error(lines: list[str]) -> MalformedNative:
+    """The error for the first line that has no '=' or repeats a key."""
+    seen = set()
+    for lineno, line in enumerate(lines, start=1):
+        if "=" not in line:
+            return MalformedNative(f"line {lineno}: no '='")
+        key = line.split("=", 1)[0]
+        if key in seen:
+            return MalformedNative(f"line {lineno}: duplicate key {key!r}")
+        seen.add(key)
+
+
 def from_wallet_kv(text: str) -> CanonicalMessage:
     if not text.endswith("\n"):
         raise MalformedNative("record not newline-terminated")
-    pairs: dict[str, str] = {}
-    for lineno, line in enumerate(text[:-1].split("\n"), start=1):
-        if "=" not in line:
-            raise MalformedNative(f"line {lineno}: no '='")
-        key, value = line.split("=", 1)
-        if key in pairs:
-            raise MalformedNative(f"line {lineno}: duplicate key {key!r}")
-        pairs[key] = value
-    if "op" not in pairs:
+    lines = text[:-1].split("\n")
+    try:
+        pairs = dict([line.split("=", 1) for line in lines])
+    except ValueError:
+        raise _kv_line_error(lines) from None
+    if len(pairs) != len(lines):
+        raise _kv_line_error(lines)
+    op = pairs.get("op")
+    if op is None:
         raise MalformedNative("missing header key 'op'")
-    msg_type = _TYPE_FOR_KV_OP.get(pairs["op"])
+    msg_type = _TYPE_FOR_KV_OP.get(op)
     if msg_type is None:
-        raise MalformedNative(f"unknown op: {pairs['op']!r}")
+        raise MalformedNative(f"unknown op: {op!r}")
     msg = _message(msg_type, pairs)
-    extra = set(pairs).difference(_RECORD_KEYS[msg_type])
-    if extra:
-        raise MalformedNative(f"{msg_type}: unexpected keys {sorted(extra)}")
+    keys = _RECORD_KEYS[msg_type]
+    if len(pairs) != len(keys):
+        # _message found every key of the type, so the rest are extra
+        raise MalformedNative(f"{msg_type}: unexpected keys {sorted(set(pairs).difference(keys))}")
     return msg
 
 

@@ -1,6 +1,8 @@
 """Money, party references, and message validation."""
 from __future__ import annotations
 
+import operator
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -67,8 +69,55 @@ def test_money_arithmetic():
     assert ghs(100) + ghs(250) == ghs(350)
     assert ghs(100) - ghs(250) == ghs(-150)
     assert ghs(100) < ghs(101)
-    with pytest.raises(CurrencyMismatch):
-        ghs(1) + Money("NGN", 1)
+    assert ghs(101) > ghs(100) and not ghs(100) > ghs(101)
+    for op in (operator.add, operator.sub, operator.lt, operator.gt):
+        with pytest.raises(CurrencyMismatch):
+            op(ghs(1), Money("NGN", 1))
+    with pytest.raises(TypeError):  # no tuple order: only < and > compare amounts
+        ghs(1) <= ghs(2)
+
+
+def test_value_types_are_immutable():
+    msg = mk("hold.cmd", {"saga": "sg-1", "party": bank("RB", "A1"), "amount": ghs(10)})
+    for value, attr in [
+        (msg, "destination"),
+        (msg, "note"),
+        (ghs(1), "minor_units"),
+        (ghs(1), "note"),
+        (bank("RB", "A1"), "institution"),
+        (bank("RB", "A1"), "note"),
+    ]:
+        with pytest.raises(AttributeError):
+            setattr(value, attr, "x")
+
+
+def test_value_types_compare_and_hash_by_value():
+    assert ghs(5) == Money("GHS", 5) and hash(ghs(5)) == hash(Money("GHS", 5))
+    assert ghs(5) != ghs(6) and ghs(5) != Money("NGN", 5)
+    party = wallet("MTN", "233244000001")
+    same = parse_party("wallet:MTN:233244000001")
+    assert party == same and hash(party) == hash(same)
+    assert party != bank("MTN", "233244000001")
+    assert {party: "found"}[same] == "found"
+    body = {"saga": "sg-1", "party": bank("RB", "A1"), "amount": ghs(10)}
+    assert mk("hold.cmd", body) == mk("hold.cmd", dict(body))
+    assert mk("hold.cmd", body) != mk("hold.cmd", body, dst="RB")
+
+
+@pytest.mark.parametrize(
+    "make,error",
+    [
+        (lambda: Money("GHs", 1), BadCurrency),
+        (lambda: Money("GHS", True), MalformedAmount),
+        (lambda: Money("GHS", 1.5), MalformedAmount),
+        (lambda: PartyRef(PartyKind.WALLET, "MTN", "12"), MalformedParty),
+        (lambda: PartyRef(PartyKind.BANK_ACCOUNT, "M:TN", "A1"), MalformedParty),
+        (lambda: PartyRef(PartyKind.BANK_ACCOUNT, "MTN", "A|1"), MalformedParty),
+    ],
+)
+def test_value_type_constructors_check(make, error):
+    with pytest.raises(error):
+        make()
 
 
 def test_parse_party_examples():

@@ -73,3 +73,8 @@ def test_serve_prints_address_and_stops_on_interrupt(monkeypatch, capsys):
     monkeypatch.setattr(SwitchServer, "serve_forever", interrupted)
     assert main(["serve", "--scenario", scenario_path("happy_path"), "--listen", "127.0.0.1:0"]) == 0
     assert "listening on 127.0.0.1:" in capsys.readouterr().out
+
+
+def test_serve_bad_port_exits_2(capsys):
+    assert main(["serve", "--scenario", scenario_path("happy_path"), "--listen", "127.0.0.1:x"]) == 2
+    assert capsys.readouterr().err.startswith("error: --listen '127.0.0.1:x': port must be an integer")

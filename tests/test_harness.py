@@ -244,6 +244,12 @@ def add_generator(obj, **fields):
         (lambda o: add_generator(o, count=None), r"traffic\[\d+\]\.generate\.count: missing"),
         (lambda o: add_generator(o, channel="ch:gone"), r"generate\.channel: unknown channel 'ch:gone'"),
         (lambda o: add_generator(o, kind="bursts"), r"generate\.kind: unknown kind 'bursts'"),
+        (lambda o: o.__setitem__("endpoints", [5]), r"^bad\.endpoints\[0\]: must be an object$"),
+        (lambda o: o.__setitem__("endpoints", {"a": 1}), r"^bad\.endpoints: must be a list$"),
+        (lambda o: o.__setitem__("traffic", [3]), r"^bad\.traffic\[0\]: must be an object$"),
+        (lambda o: o.__setitem__("channels", [7]), r"^bad\.channels\[0\]: must be an object$"),
+        (lambda o: o["endpoints"][0].__setitem__("fee", "cheap"), r"^bad\.endpoints\[0\]\.fee: must be an object$"),
+        (lambda o: o["rules"][0].__setitem__("match", 5), r"^bad\.rules\[0\]\.match: must be an object$"),
     ],
 )
 def test_scenario_diagnostics_carry_field_paths(mutate, fragment):

@@ -262,6 +262,24 @@ def test_wallet_kv_malformed(text):
         from_wallet_kv(text)
 
 
+_HOLD_OK_KV = "id=a\ncorr=a\nts=1\nsrc=s\ndst=d\nop=hold_ok\nsaga=sg\ncmd=c\n"
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (_HOLD_OK_KV + "no equals sign\n", "line 9: no '='"),
+        ("id=a\n" + _HOLD_OK_KV, "line 2: duplicate key 'id'"),
+        (_HOLD_OK_KV + "extra=1\n", "hold.ok: unexpected keys ['extra']"),
+        ("id=a\ncorr=a\nts=1\nsrc=s\ndst=d\n", "missing header key 'op'"),
+    ],
+)
+def test_wallet_kv_malformed_text(text, message):
+    with pytest.raises(MalformedNative) as exc:
+        from_wallet_kv(text)
+    assert str(exc.value) == message
+
+
 def test_decode_canonical_malformed():
     with pytest.raises(MalformedNative):
         decode_canonical('{"v":1,"id":"x"')  # truncated JSON
