@@ -9,6 +9,7 @@ import json
 import re
 from collections import namedtuple
 from enum import Enum
+from json import encoder as _json_encoder
 from typing import NamedTuple
 
 
@@ -39,8 +40,29 @@ _IDENT_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 _INSTITUTION_RE = re.compile(r"^[A-Za-z0-9_-]+$")
 
 
-# compact JSON, the same bytes as json.dumps(obj, separators=(",", ":")) without an encoder per call
-compact_json = json.JSONEncoder(separators=(",", ":")).encode
+def _compact_json():
+    """The same bytes as json.dumps(obj, separators=(",", ":")), from one encoder built at import.
+
+    `JSONEncoder.encode` builds a C encoder on every call. This one is
+    built once, without a markers dict: a failed encode cannot leave one
+    dirty for the next call, and no input is circular (each is a tree
+    built for the call), so nothing is lost by not checking.
+    """
+    base = json.JSONEncoder(separators=(",", ":"))
+    if _json_encoder.c_make_encoder is None:
+        return base.encode
+    encode = _json_encoder.c_make_encoder(
+        None, base.default, _json_encoder.encode_basestring_ascii, None, ":", ",", False, False, True
+    )
+    join = "".join
+
+    def compact_json(obj) -> str:
+        return join(encode(obj, 0))
+
+    return compact_json
+
+
+compact_json = _compact_json()
 
 
 class Money(namedtuple("Money", "currency minor_units")):

@@ -149,6 +149,7 @@ class UssdChannel:
         query_balance: Callable[[CanonicalMessage], CanonicalMessage | None],
         quote_fee: Callable[[PartyRef, Money], Money | None],
         expiry_ticks: int = SESSION_EXPIRY_TICKS,
+        session_ids: IdGenerator | None = None,
     ) -> None:
         self.channel_id = channel_id
         self.institution = institution
@@ -158,7 +159,8 @@ class UssdChannel:
         self.quote_fee = quote_fee
         self.expiry_ticks = expiry_ticks
         self.sessions: dict[str, UssdSession] = {}
-        self.session_ids = IdGenerator("us")
+        # a session id becomes its request's client_ref; channels on one switch share the counter
+        self.session_ids = session_ids or IdGenerator("us")
         self.msg_ids = IdGenerator("um")
         self.transcript = Transcript()
 

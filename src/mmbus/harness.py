@@ -29,6 +29,7 @@ from .canonical import (
     REPLY_TYPES,
     CanonicalError,
     CanonicalMessage,
+    IdGenerator,
     Money,
     PartyRef,
     compact_json,
@@ -130,15 +131,31 @@ def _req(obj: dict, key: str, path: str):
     return obj[key]
 
 
-def _objects(obj: dict, key: str, path: str) -> list[dict]:
-    """A list-of-objects field; anything else is an error at its path."""
+def _name(obj: dict, key: str, path: str, default: str | None = None) -> str:
+    """An id or name field, kept in sets and maps, so it must be a string."""
+    value = _req(obj, key, path) if default is None else obj.get(key, default)
+    if not isinstance(value, str):
+        raise _fail(f"{path}.{key}", f"must be a string, got {value!r}")
+    return value
+
+
+def _list(obj: dict, key: str, path: str, kind: type = object, noun: str = "") -> list:
+    """A list field, its items all of `kind` if given; anything else is an error at its path."""
     items = obj.get(key, [])
     if not isinstance(items, list):
         raise _fail(f"{path}.{key}", "must be a list")
     for i, item in enumerate(items):
-        if not isinstance(item, dict):
-            raise _fail(f"{path}.{key}[{i}]", "must be an object")
+        if not isinstance(item, kind):
+            raise _fail(f"{path}.{key}[{i}]", f"must be {noun}")
     return items
+
+
+def _objects(obj: dict, key: str, path: str) -> list[dict]:
+    return _list(obj, key, path, dict, "an object")
+
+
+def _strings(obj: dict, key: str, path: str) -> list[str]:
+    return _list(obj, key, path, str, "a string")
 
 
 def _object(obj: dict, key: str, path: str, default: dict) -> dict:
@@ -196,7 +213,7 @@ def scenario_from_obj(obj: dict, name: str) -> Scenario:
     seen_endpoints: set[str] = set()
     for i, ep in enumerate(_objects(obj, "endpoints", name)):
         path = f"{name}.endpoints[{i}]"
-        endpoint_id = _req(ep, "id", path)
+        endpoint_id = _name(ep, "id", path)
         if endpoint_id in seen_endpoints:
             raise _fail(path, f"duplicate endpoint id {endpoint_id!r}")
         seen_endpoints.add(endpoint_id)
@@ -214,9 +231,7 @@ def scenario_from_obj(obj: dict, name: str) -> Scenario:
             if balance.minor_units < 0:
                 raise _fail(f"{apath}.balance", "must be >= 0")
             accounts.append((party, balance.minor_units))
-        operations = ep.get("operations", [])
-        if not isinstance(operations, list):
-            raise _fail(f"{path}.operations", "must be a list")
+        operations = _strings(ep, "operations", path)
         try:
             contract = ServiceContract(
                 endpoint_id=endpoint_id,
@@ -236,12 +251,17 @@ def scenario_from_obj(obj: dict, name: str) -> Scenario:
         float_minor = _money(ep.get("float", "0"), currency, f"{path}.float").minor_units
         scenario.endpoints.append(EndpointSpec(contract, float_minor, accounts))
 
+    seen_rules: set[str] = set()
     for i, rule in enumerate(_objects(obj, "rules", name)):
         path = f"{name}.rules[{i}]"
+        rule_id = _name(rule, "id", path)
+        if rule_id in seen_rules:
+            raise _fail(path, f"duplicate rule id {rule_id!r}")
+        seen_rules.add(rule_id)
         priority = _int(rule, "priority", path)
         if priority < 0:
             raise _fail(f"{path}.priority", "must be >= 0 (negative priorities are reserved)")
-        target = _req(rule, "target", path)
+        target = _name(rule, "target", path)
         if target not in seen_endpoints:
             raise _fail(f"{path}.target", f"unknown endpoint {target!r}")
         match = _object(rule, "match", path, {})
@@ -250,12 +270,14 @@ def scenario_from_obj(obj: dict, name: str) -> Scenario:
             raise _fail(f"{path}.match", f"unknown matchers {sorted(unknown)}")
         msg_type = match.get("msg_type")
         if isinstance(msg_type, list):
-            msg_type = tuple(msg_type)
+            msg_type = tuple(_strings(match, "msg_type", f"{path}.match"))
+        elif msg_type is not None and not isinstance(msg_type, str):
+            raise _fail(f"{path}.match.msg_type", "must be a string or a list of strings")
         amount_min = match.get("amount_min")
         amount_max = match.get("amount_max")
         scenario.rules.append(
             RoutingRule(
-                rule_id=_req(rule, "id", path),
+                rule_id=rule_id,
                 priority=priority,
                 target=target,
                 msg_type=msg_type,
@@ -269,7 +291,7 @@ def scenario_from_obj(obj: dict, name: str) -> Scenario:
     seen_channels: set[str] = set()
     for i, ch in enumerate(_objects(obj, "channels", name)):
         path = f"{name}.channels[{i}]"
-        channel_id = _req(ch, "id", path)
+        channel_id = _name(ch, "id", path)
         protocol = _req(ch, "protocol", path)
         if protocol not in ("gateway", "ussd"):
             raise _fail(f"{path}.protocol", f"unknown protocol {protocol!r}")
@@ -286,7 +308,7 @@ def scenario_from_obj(obj: dict, name: str) -> Scenario:
             gen = _generator(item["generate"], len(scenario.generators), seen_channels, currency, f"{path}.generate")
             scenario.generators.append(gen)
             continue
-        channel = _req(item, "channel", path)
+        channel = _name(item, "channel", path)
         if channel not in seen_channels:
             raise _fail(f"{path}.channel", f"unknown channel {channel!r}")
         text = item.get("line", item.get("frame"))
@@ -303,8 +325,8 @@ def scenario_from_obj(obj: dict, name: str) -> Scenario:
 
     for i, agent in enumerate(_objects(obj, "agents", name)):
         path = f"{name}.agents[{i}]"
-        agent_id = _req(agent, "endpoint", path)
-        channel_id = agent.get("channel", f"agent:{agent_id}")
+        agent_id = _name(agent, "endpoint", path)
+        channel_id = _name(agent, "channel", path, f"agent:{agent_id}")
         if channel_id in seen_channels:
             raise _fail(f"{path}.channel", f"collides with channel {channel_id!r}")
         items = []
@@ -343,12 +365,12 @@ def _generator(gen, index: int, channels: set[str], currency: str, path: str) ->
         raise _fail(path, "must be an object")
     if gen.get("kind") != "transfers":
         raise _fail(f"{path}.kind", f"unknown kind {gen.get('kind')!r}")
-    channel = _req(gen, "channel", path)
+    channel = _name(gen, "channel", path)
     if channel not in channels:
         raise _fail(f"{path}.channel", f"unknown channel {channel!r}")
-    parties = [_party(p, f"{path}.parties[{j}]") for j, p in enumerate(gen.get("parties", []))]
+    parties = [_party(p, f"{path}.parties[{j}]") for j, p in enumerate(_list(gen, "parties", path))]
     pairs = []
-    for j, pair in enumerate(gen.get("pairs", [])):
+    for j, pair in enumerate(_list(gen, "pairs", path)):
         ppath = f"{path}.pairs[{j}]"
         if not isinstance(pair, list) or len(pair) != 2:
             raise _fail(ppath, "must be a [from, to] pair")
@@ -450,6 +472,11 @@ class Simulator:
         # node (AUTH_NODE or an endpoint id) -> tick it restarts at
         self.down_until: dict[str, int] = {}
 
+        # A USSD session id is its transfer's client_ref, and the engine dedupes
+        # client_refs switch-wide, so one counter numbers every USSD channel's
+        # sessions. A gateway client_ref is the client's own idempotency key and
+        # stays switch-wide: a request resent on a new connection is deduped.
+        self.ussd_session_ids = IdGenerator("us")
         self.channels: dict[str, object] = {}
         for ch in scenario.channels:
             self.add_channel(ch)
@@ -480,7 +507,8 @@ class Simulator:
             channel = GatewayChannel(spec.channel_id, self._submit, self._query_balance)
         else:
             channel = UssdChannel(
-                spec.channel_id, spec.institution, self.scenario.currency, self._submit, self._query_balance, self._quote_fee
+                spec.channel_id, spec.institution, self.scenario.currency, self._submit, self._query_balance, self._quote_fee,
+                session_ids=self.ussd_session_ids,
             )
         self.channels[spec.channel_id] = channel
 
@@ -691,11 +719,18 @@ class Simulator:
             self._crash_bus()
 
     def feed(self, channel_id: str, text: str) -> list[str]:
-        """Live ingress: one line or frame at the next tick; the channel's replies, then its deliveries."""
+        """Live ingress: one line or frame at the next tick; returns the channel's immediate replies.
+
+        A request's `submitted` record is journaled before this returns, so
+        its ack can leave at once; the saga runs in `deliveries()`.
+        """
         self.now_tick += 1
-        replies = self._handle_traffic(channel_id, text)
+        return self._handle_traffic(channel_id, text)
+
+    def deliveries(self, channel_id: str) -> list[str]:
+        """Drain the queue, then take the lines delivered to one channel since its last call."""
         self.drain()
-        return replies + self.outboxes.pop(channel_id, [])
+        return self.outboxes.pop(channel_id, [])
 
     def drain(self) -> None:
         """Live mode: work through queued events; idle expiries wait for their tick.
@@ -966,11 +1001,12 @@ def matrix_cells(obj: dict, name: str) -> list[tuple[str, Scenario]]:
     cells = obj.get("cells")
     if not isinstance(base, dict) or not isinstance(cells, list):
         raise InvalidScenario(f"{name}: matrix file needs base and cells")
+    base_faults = _objects(base, "faults", f"{name}.base")
     scenarios = []
-    for i, cell in enumerate(cells):
+    for i, cell in enumerate(_objects(obj, "cells", name)):
         cell_name = cell.get("name", f"cell{i}")
         merged = dict(base)
-        merged["faults"] = list(base.get("faults", [])) + list(cell.get("faults", []))
+        merged["faults"] = base_faults + _objects(cell, "faults", f"{name}.cells[{i}]")
         merged["name"] = f"{name}:{cell_name}"
         scenarios.append((cell_name, scenario_from_obj(merged, merged["name"])))
     return scenarios

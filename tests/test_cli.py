@@ -66,6 +66,16 @@ def test_scenario_input_error_exits_2(tmp_path, capsys):
     assert "generate.count: missing" in capsys.readouterr().err
 
 
+def test_matrix_input_error_exits_2(tmp_path, capsys):
+    with open(scenario_path("fault_matrix"), encoding="utf-8") as fh:
+        obj = json.load(fh)
+    obj["cells"].append(5)
+    path = tmp_path / "bad_cell.json"
+    path.write_text(json.dumps(obj))
+    assert main(["run", "--scenario", str(path)]) == 2
+    assert "bad_cell.cells[25]: must be an object" in capsys.readouterr().err
+
+
 def test_serve_prints_address_and_stops_on_interrupt(monkeypatch, capsys):
     def interrupted(self, poll_interval=0.5):
         raise KeyboardInterrupt

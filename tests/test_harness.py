@@ -250,6 +250,15 @@ def add_generator(obj, **fields):
         (lambda o: o.__setitem__("channels", [7]), r"^bad\.channels\[0\]: must be an object$"),
         (lambda o: o["endpoints"][0].__setitem__("fee", "cheap"), r"^bad\.endpoints\[0\]\.fee: must be an object$"),
         (lambda o: o["rules"][0].__setitem__("match", 5), r"^bad\.rules\[0\]\.match: must be an object$"),
+        (lambda o: add_generator(o, parties=5), r"^bad\.traffic\[\d+\]\.generate\.parties: must be a list$"),
+        (lambda o: o["endpoints"][0].__setitem__("operations", [["x"]]),
+         r"^bad\.endpoints\[0\]\.operations\[0\]: must be a string$"),
+        (lambda o: o["rules"][0]["match"].__setitem__("msg_type", 5),
+         r"^bad\.rules\[0\]\.match\.msg_type: must be a string or a list of strings$"),
+        (lambda o: o["rules"][0]["match"].__setitem__("msg_type", [["x"]]),
+         r"^bad\.rules\[0\]\.match\.msg_type\[0\]: must be a string$"),
+        (lambda o: o["rules"].append(dict(o["rules"][0])), r"^bad\.rules\[2\]: duplicate rule id 'to-mtng'$"),
+        (lambda o: o["endpoints"][0].__setitem__("id", ["MTNG"]), r"^bad\.endpoints\[0\]\.id: must be a string"),
     ],
 )
 def test_scenario_diagnostics_carry_field_paths(mutate, fragment):
@@ -257,3 +266,20 @@ def test_scenario_diagnostics_carry_field_paths(mutate, fragment):
     mutate(obj)
     with pytest.raises(InvalidScenario, match=fragment):
         scenario_from_obj(obj, "bad")
+
+
+@pytest.mark.parametrize(
+    "mutate,fragment",
+    [
+        (lambda m: m.__setitem__("cells", [5]), r"^fm\.cells\[0\]: must be an object$"),
+        (lambda m: m["cells"][0].__setitem__("faults", 5), r"^fm\.cells\[0\]\.faults: must be a list$"),
+        (lambda m: m["base"].__setitem__("faults", [5]), r"^fm\.base\.faults\[0\]: must be an object$"),
+    ],
+)
+def test_matrix_diagnostics_carry_field_paths(mutate, fragment):
+    with open(scenario_path("fault_matrix"), encoding="utf-8") as fh:
+        obj = json.load(fh)
+    assert len(matrix_cells(obj, "fm")) == 25
+    mutate(obj)
+    with pytest.raises(InvalidScenario, match=fragment):
+        matrix_cells(obj, "fm")
