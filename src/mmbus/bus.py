@@ -14,7 +14,6 @@ from typing import Callable
 from .canonical import (
     COMMAND_TYPES,
     REPLY_TYPES,
-    REQUEST_TYPES,
     CanonicalMessage,
     PartyRef,
     render_party,
@@ -32,10 +31,6 @@ class BusError(Exception):
 
 
 class NoRoute(BusError):
-    pass
-
-
-class ContractViolation(BusError):
     pass
 
 
@@ -147,7 +142,6 @@ class DispatchDecision:
 
 
 _ROUTED_FROM_BUS = COMMAND_TYPES | {"balance.request"}
-_ENGINE_BOUND = REQUEST_TYPES | REPLY_TYPES | {"sync.batch", "sync.report"}
 
 # what a dispatch does: a (receipt outcome, delivery delay) per receipt; no delay, no delivery
 _REFUSED = (("refused", None),)
@@ -175,7 +169,7 @@ class ServiceBus:
     def resolve(self, msg: CanonicalMessage) -> tuple[str, CanonicalMessage]:
         if msg.destination != "bus":
             return msg.destination, msg
-        if msg.msg_type in _ENGINE_BOUND:
+        if msg.msg_type in REPLY_TYPES:
             return ENGINE_NODE, msg
         if msg.msg_type in _ROUTED_FROM_BUS:
             target = self.routes.route(msg)

@@ -29,10 +29,6 @@ from .canonical import (
 from .transform import MalformedNative, decode_canonical, encode_canonical
 
 
-class ChannelError(Exception):
-    pass
-
-
 class Transcript:
     """Ordered record of everything a channel saw and said."""
 

@@ -2,9 +2,11 @@
 
 Transfer flow: authorize -> hold (sender, amount+fee) -> credit
 (receiver, amount) -> commit (sender, amount/fee split). A failed or
-timed-out credit compensates by releasing the hold. Every state change
-appends a journal record before the commands it emits are dispatched,
-so a crashed engine can be rebuilt from the journal alone and re-emit
+timed-out credit compensates by releasing the hold. The engine does no
+I/O: each state change returns a step, (record, message or None, timer
+deadline or None), and the simulator applies it in that order: it
+journals the record, then dispatches the message, then arms the timer.
+So a crashed engine can be rebuilt from the journal alone and re-emit
 pending commands under their original ids.
 """
 from __future__ import annotations
@@ -13,7 +15,6 @@ import json
 import os
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable
 
 from .canonical import (
     REQUEST_TYPES,
@@ -204,9 +205,6 @@ class Journal:
     def __init__(self, path: str | None, start_seq: int = 0) -> None:
         self.path = path
         self.seq = start_seq
-        # highest seq whose emissions all reached dispatch; only records
-        # past this point can be torn by a crash
-        self.settled_seq = start_seq
         self.records: list[dict] = []
         self._fh = open(path, "a", encoding="utf-8") if path else None
 
@@ -308,22 +306,15 @@ def fold_records(records: list[dict]) -> dict[str, Saga]:
     return sagas
 
 
-class ProcessEngine:
-    """Single orchestrator owning every saga transition."""
+# a saga's next move: the record to journal, the message to dispatch after it, and the tick its timer fires
+Step = tuple[dict, CanonicalMessage | None, int | None]
 
-    def __init__(
-        self,
-        journal: Journal,
-        now: Callable[[], int],
-        emit: Callable[[CanonicalMessage], None],
-        arm_timer: Callable[[int, str, str], None],
-        msg_seq_start: int = 0,
-        saga_seq_start: int = 0,
-    ) -> None:
-        self.journal = journal
-        self.now = now
-        self.emit = emit
-        self.arm_timer = arm_timer
+
+class ProcessEngine:
+    """Single orchestrator owning every saga transition; it decides, the caller journals and sends."""
+
+    def __init__(self, journal: Journal, msg_seq_start: int = 0, saga_seq_start: int = 0) -> None:
+        self.journal = journal  # the log its caller appends this engine's records to
         self.ids = IdGenerator("eg", msg_seq_start)
         self.saga_ids = IdGenerator("sg", saga_seq_start)
         self.sagas: dict[str, Saga] = {}
@@ -331,14 +322,14 @@ class ProcessEngine:
 
     # -- ingress --------------------------------------------------------
 
-    def submit(self, msg: CanonicalMessage) -> tuple[str, bool]:
-        """Start (or dedupe) a saga for a financial request; returns (saga_id, created)."""
+    def submit(self, msg: CanonicalMessage, tick: int) -> tuple[str, Step | None]:
+        """Start a saga for a financial request; returns (saga_id, its first step), no step when deduped."""
         if msg.msg_type not in REQUEST_TYPES:
             raise EngineError(f"not a financial request: {msg.msg_type}")
         client_ref = msg.body["client_ref"]
         existing = self.by_client_ref.get(client_ref)
         if existing is not None:
-            return existing, False
+            return existing, None
         saga = Saga(
             saga_id=self.saga_ids.next(),
             kind=msg.msg_type,
@@ -361,94 +352,81 @@ class ProcessEngine:
             "to": render_party(saga.destination),
             "amount": _money_json(saga.amount),
         }
-        self._advance(saga, event)
-        return saga.saga_id, True
+        return saga.saga_id, self._advance(saga, event, tick)
 
-    def on_reply(self, msg: CanonicalMessage) -> None:
+    def on_reply(self, msg: CanonicalMessage, tick: int) -> Step | None:
         """Feed an auth/hold/credit/commit/release reply into its saga."""
         saga = self.sagas.get(msg.body.get("saga", ""))
         if saga is None:
-            return  # reply for a saga this engine never started; drop
+            return None  # reply for a saga this engine never started; drop
         cmd = msg.body.get("cmd", "")
         kind = msg.msg_type
         # a reply the saga's state has no transition for is stale
         if cmd != saga.outstanding_cmd or (saga.state, kind) not in _TRANSITIONS:
-            self._stale(saga, msg.message_id)
-            return
+            return self._advance(saga, {"kind": "stale", "about": msg.message_id}, tick)
         event: dict = {"kind": kind, "cmd": cmd}
         if kind == "auth.ok":
             event["fee"] = _money_json(msg.body["fee"])
         elif kind in ("auth.denied", "hold.err", "credit.err"):
             event["reason"] = msg.body["reason"]
-        self._advance(saga, event)
+        return self._advance(saga, event, tick)
 
-    def _stale(self, saga: Saga, about: str) -> None:
-        self._advance(saga, {"kind": "stale", "about": about})
-
-    def on_timeout(self, saga_id: str, cmd_id: str) -> None:
+    def on_timeout(self, saga_id: str, cmd_id: str, tick: int) -> Step | None:
         saga = self.sagas.get(saga_id)
         if saga is None or saga.terminal or saga.outstanding_cmd != cmd_id:
-            return  # stale timer, nothing outstanding under that id
-        self._advance(saga, {"kind": "timeout", "cmd": cmd_id, "n": saga.timeouts + 1})
+            return None  # stale timer, nothing outstanding under that id
+        return self._advance(saga, {"kind": "timeout", "cmd": cmd_id, "n": saga.timeouts + 1}, tick)
 
     # -- the live side of the one transition path ------------------------
 
-    def _advance(self, saga: Saga, event: dict) -> None:
+    def _advance(self, saga: Saga, event: dict, tick: int) -> Step:
         from_state = saga.state
         to_state = apply(saga, event)
-        msg = self._emission(saga, event["kind"], from_state, to_state)
-        self.journal.append(
-            {
-                "tick": self.now(),
-                "saga": saga.saga_id,
-                "from_state": _NAME_OF_STATE[from_state],
-                "event": event,
-                "to_state": _NAME_OF_STATE[to_state],
-                "cmds": [] if msg is None else [msg.message_id],
-            }
-        )
+        msg = self._emission(saga, event["kind"], from_state, to_state, tick)
+        record = {
+            "tick": tick,
+            "saga": saga.saga_id,
+            "from_state": _NAME_OF_STATE[from_state],
+            "event": event,
+            "to_state": _NAME_OF_STATE[to_state],
+            "cmds": [] if msg is None else [msg.message_id],
+        }
+        deadline = None
         if msg is not None:
             is_cmd = msg.msg_type != "saga.result"
             saga.outstanding_cmd = msg.message_id if is_cmd else None
-            self.emit(msg)
             if is_cmd:
-                window = TIMEOUT_TICKS * (BACKOFF_FACTOR ** saga.timeouts)
-                self.arm_timer(self.now() + window, saga.saga_id, msg.message_id)
-        self.journal.settled_seq = self.journal.seq
+                deadline = tick + TIMEOUT_TICKS * (BACKOFF_FACTOR ** saga.timeouts)
+        return record, msg, deadline
 
-    def _emission(self, saga: Saga, kind: str, from_state: SagaState, to_state: SagaState) -> CanonicalMessage | None:
+    def _emission(
+        self, saga: Saga, kind: str, from_state: SagaState, to_state: SagaState, tick: int
+    ) -> CanonicalMessage | None:
         if to_state is from_state:
             if kind == "stale":
                 return None
             # a retry after a timeout, or a re-emission after recovery: the same command, same id
             assert saga.outstanding_cmd is not None
-            return self._cmd(saga, _OUTSTANDING_TYPE[to_state], saga.outstanding_cmd)
+            return self._cmd(saga, _OUTSTANDING_TYPE[to_state], saga.outstanding_cmd, tick)
         msg_type = _OUTSTANDING_TYPE.get(to_state)
         if msg_type is None:
-            return self._result(saga, to_state)
-        return self._cmd(saga, msg_type, self.ids.next())
+            return self._result(saga, to_state, tick)
+        return self._cmd(saga, msg_type, self.ids.next(), tick)
 
-    def _cmd(self, saga: Saga, msg_type: str, message_id: str) -> CanonicalMessage:
+    def _cmd(self, saga: Saga, msg_type: str, message_id: str, tick: int) -> CanonicalMessage:
         return CanonicalMessage(
-            message_id, saga.request_corr, msg_type, "bus", "bus", self.now(), _command_body(saga, msg_type)
+            message_id, saga.request_corr, msg_type, "bus", "bus", tick, _command_body(saga, msg_type)
         )
 
-    def _result(self, saga: Saga, state: SagaState) -> CanonicalMessage:
+    def _result(self, saga: Saga, state: SagaState, tick: int) -> CanonicalMessage:
         body = {"saga": saga.saga_id, "client_ref": saga.client_ref, "state": _NAME_OF_STATE[state], "reason": saga.reason}
-        return CanonicalMessage(self.ids.next(), saga.request_corr, "saga.result", "bus", saga.reply_to, self.now(), body)
+        return CanonicalMessage(self.ids.next(), saga.request_corr, "saga.result", "bus", saga.reply_to, tick, body)
 
     # -- recovery ---------------------------------------------------------
 
     @classmethod
-    def recover(
-        cls,
-        records: list[dict],
-        journal: Journal,
-        now: Callable[[], int],
-        emit: Callable[[CanonicalMessage], None],
-        arm_timer: Callable[[int, str, str], None],
-    ) -> tuple["ProcessEngine", int]:
-        """Rebuild from journal records; re-emit pending commands, original ids."""
+    def recover(cls, records: list[dict], journal: Journal, tick: int) -> tuple["ProcessEngine", list[Step]]:
+        """Rebuild from journal records; returns one step per pending saga, re-emitting its command under its original id."""
         sagas = fold_records(records)
         max_eg = 0
         max_sg = 0
@@ -461,17 +439,15 @@ class ProcessEngine:
             node, _, seq = saga_id.partition("-")
             if node == "sg":
                 max_sg = max(max_sg, int(seq))
-        engine = cls(journal, now, emit, arm_timer, msg_seq_start=max_eg, saga_seq_start=max_sg)
+        engine = cls(journal, msg_seq_start=max_eg, saga_seq_start=max_sg)
         engine.sagas = sagas
         engine.by_client_ref = {s.client_ref: s.saga_id for s in sagas.values()}
-        resumed = 0
-        for saga_id in sorted(sagas):
-            saga = sagas[saga_id]
-            if saga.terminal:
-                continue
-            resumed += 1
-            engine._advance(saga, {"kind": "recovered"})
-        return engine, resumed
+        steps = [
+            engine._advance(sagas[saga_id], {"kind": "recovered"}, tick)
+            for saga_id in sorted(sagas)
+            if not sagas[saga_id].terminal
+        ]
+        return engine, steps
 
     # -- introspection ---------------------------------------------------
 

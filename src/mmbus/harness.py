@@ -26,7 +26,6 @@ from .bus import (
 )
 from .canonical import (
     REQUEST_TYPES,
-    REPLY_TYPES,
     CanonicalError,
     CanonicalMessage,
     IdGenerator,
@@ -39,7 +38,7 @@ from .canonical import (
 )
 from .channels import GatewayChannel, UssdChannel
 from .contracts import AuthorizerService, ContractError, ContractRegistry, FeeSchedule, ServiceContract, UnknownEndpoint
-from .engine import Journal, ProcessEngine, load_journal, fold_records, saga_row, truncate_last_record
+from .engine import Journal, ProcessEngine, Step, load_journal, fold_records, saga_row, truncate_last_record
 from .faults import FaultDirective, parse_directive
 from .ledgers import Ledger, LedgerEndpoint, conservation
 from .offline import QueueItem, SyncAgent
@@ -441,7 +440,6 @@ class Simulator:
         self.epoch = 0
         self.receipts = []
         self.crashes: list[dict] = []
-        self.sync_messages: list[dict] = []
         self.outboxes: dict[str, list[str]] = {}
         self._preserved_records: list[dict] = []
         self.bus_resume_tick: int | None = None
@@ -487,12 +485,7 @@ class Simulator:
 
         # the journal the bus writes to now; a recovery replaces it
         self.journal = Journal(self.journal_path)
-        self.engine: ProcessEngine | None = ProcessEngine(
-            self.journal,
-            now=lambda: self.now_tick,
-            emit=self._dispatch,
-            arm_timer=self._arm_timer,
-        )
+        self.engine: ProcessEngine | None = ProcessEngine(self.journal)
 
     def _install_endpoint(self, spec: EndpointSpec) -> None:
         contract = spec.contract
@@ -518,9 +511,6 @@ class Simulator:
         self._eseq += 1
         heapq.heappush(self._heap, (tick, self._eseq, lazy, kind, payload))
 
-    def _arm_timer(self, due: int, saga_id: str, cmd_id: str) -> None:
-        self._push(due, "timeout", (self.epoch, saga_id, cmd_id))
-
     # -- bus plumbing ----------------------------------------------------
 
     def _permits(self, target: str, msg_type: str) -> bool | None:
@@ -541,6 +531,27 @@ class Simulator:
         if decision.crash_bus:
             raise BusCrash(f"bus crashed dispatching {msg.msg_type} {msg.message_id}")
 
+    def _apply(self, step: Step | None) -> None:
+        """Carry out an engine step: journal its record, then dispatch its message, then arm its timer.
+
+        A bus crash before the message is dispatched tears the record just
+        journaled (with `torn_tail`), and no other crash does. The crash
+        propagates so that the caller stops; its handler's `_crash_bus()`
+        then finds the bus already down.
+        """
+        if step is None:
+            return
+        record, msg, deadline = step
+        try:
+            self.journal.append(record)
+            if msg is not None:
+                self._dispatch(msg)
+        except BusCrash:
+            self._crash_bus(torn=self.scenario.torn_tail)
+            raise
+        if deadline is not None:
+            self._push(deadline, "timeout", (self.epoch, record["saga"], msg.message_id))
+
     def _is_down(self, node: str) -> bool:
         return self.now_tick < self.down_until.get(node, 0)
 
@@ -549,12 +560,12 @@ class Simulator:
     def _submit(self, msg: CanonicalMessage) -> str | None:
         if self.engine is None:
             return None
+        saga_id, step = self.engine.submit(msg, self.now_tick)
         try:
-            saga_id, _ = self.engine.submit(msg)
-            return saga_id
+            self._apply(step)
         except BusCrash:
-            self._crash_bus()
-            return None
+            return None  # `_apply` has crashed the bus
+        return saga_id
 
     def _query_balance(self, msg: CanonicalMessage) -> CanonicalMessage | None:
         """Synchronous in-tick query: route, gate, transform, answer."""
@@ -589,8 +600,8 @@ class Simulator:
 
     # -- crash and recovery ------------------------------------------------
 
-    def _crash_bus(self) -> None:
-        """Lose the bus process: keep what reached the journal, restart later.
+    def _crash_bus(self, torn: bool = False) -> None:
+        """Lose the bus process: keep what reached the journal, less a torn last record; restart later.
 
         A crash while the bus is already down is no crash: only a running
         bus, or one re-emitting during recovery, has anything to lose.
@@ -598,7 +609,6 @@ class Simulator:
         if self.bus_resume_tick is not None:
             return
         journal = self.journal
-        torn = self.scenario.torn_tail and journal.seq > journal.settled_seq
         records = journal.records[:-1] if torn else journal.records
         self._preserved_records.extend(records)
         journal.close()
@@ -612,18 +622,14 @@ class Simulator:
         self._push(resume, "bus_up")
 
     def _bus_up(self) -> None:
-        """Recover from the journal records; a crash while re-emitting goes through `_crash_bus`."""
+        """Recover from the journal records; a crash while re-emitting leaves `resumed` unset."""
         last_seq = self._preserved_records[-1]["seq"] if self._preserved_records else 0
         self.journal = Journal(self.journal_path, start_seq=last_seq)
         self.bus_resume_tick = None
-        self.engine, resumed = ProcessEngine.recover(
-            self._preserved_records,
-            self.journal,
-            now=lambda: self.now_tick,
-            emit=self._dispatch,
-            arm_timer=self._arm_timer,
-        )
-        self.crashes[-1]["resumed"] = resumed
+        self.engine, steps = ProcessEngine.recover(self._preserved_records, self.journal, self.now_tick)
+        for step in steps:
+            self._apply(step)
+        self.crashes[-1]["resumed"] = len(steps)
 
     # -- event handling ------------------------------------------------------
 
@@ -634,12 +640,7 @@ class Simulator:
                 receipt.outcome = "dropped"
                 receipt.deliver_tick = None
                 return
-            if msg.msg_type in REPLY_TYPES:
-                self.engine.on_reply(msg)
-            elif msg.msg_type in ("sync.batch", "sync.report"):
-                self.sync_messages.append({"tick": tick, "type": msg.msg_type, "body": dict(msg.body)})
-            elif msg.msg_type in REQUEST_TYPES:
-                self._submit(msg)
+            self._apply(self.engine.on_reply(msg, tick))
             return
         if target == AUTH_NODE or target in self.endpoint_hosts:
             if self._is_down(target):
@@ -667,14 +668,13 @@ class Simulator:
         raise RunError(f"delivery to unknown node {target!r}")
 
     def _agent_send(self, agent: SyncAgent, msg: CanonicalMessage) -> None:
-        if msg.msg_type in REQUEST_TYPES:
-            if self.engine is None:
-                assert self.bus_resume_tick is not None
-                self._push(self.bus_resume_tick, "agent_submit", (agent.channel_id, msg))
-                return
-            self._submit(msg)
-        else:
-            self.sync_messages.append({"tick": self.now_tick, "type": msg.msg_type, "body": dict(msg.body)})
+        if msg.msg_type not in REQUEST_TYPES:
+            return  # a sync.* message: the agent's outcomes already reach the report's "sync"
+        if self.engine is None:
+            assert self.bus_resume_tick is not None
+            self._push(self.bus_resume_tick, "agent_submit", (agent.channel_id, msg))
+            return
+        self._submit(msg)
 
     def _handle_traffic(self, channel_id: str, text: str) -> list[str]:
         """One inbound line or frame on a channel; returns the channel's replies."""
@@ -701,7 +701,7 @@ class Simulator:
             elif kind == "timeout":
                 ev_epoch, saga_id, cmd_id = payload
                 if ev_epoch == self.epoch and self.engine is not None:
-                    self.engine.on_timeout(saga_id, cmd_id)
+                    self._apply(self.engine.on_timeout(saga_id, cmd_id, self.now_tick))
             elif kind == "bus_up":
                 self._bus_up()
             elif kind == "ussd_expire":

@@ -1,16 +1,32 @@
 """Shared builders and independent oracles used across the test modules."""
 from __future__ import annotations
 
+import json
 import os
 from fractions import Fraction
 
 from mmbus.canonical import CanonicalMessage, Money, PartyKind, PartyRef
+from mmbus.harness import Scenario, scenario_from_obj
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "scenarios")
 
 
 def scenario_path(name: str) -> str:
     return os.path.join(SCENARIO_DIR, f"{name}.json")
+
+
+CRASH_TWICE_CMDS = ["authorize", "hold", "credit", "commit", "release"]
+
+
+def crash_twice_cell(cmd_type: str, torn_tail: bool) -> Scenario:
+    """The fault-matrix base with the bus crashing on the first two dispatches of one command type."""
+    with open(scenario_path("fault_matrix"), encoding="utf-8") as fh:
+        obj = json.load(fh)["base"]
+    obj["torn_tail"] = torn_tail
+    obj["faults"] = [
+        {"msg_type": f"{cmd_type}.cmd", "occurrence": n, "action": "crash_bus"} for n in (1, 2)
+    ]
+    return scenario_from_obj(obj, f"{cmd_type}_crash_bus_twice")
 
 
 def mk(

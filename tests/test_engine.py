@@ -1,19 +1,18 @@
-"""Saga orchestration: transitions, retries, journaling, recovery."""
+"""Saga orchestration: transitions, retries, the steps the engine returns, recovery."""
 from __future__ import annotations
+
+import os
 
 import pytest
 
 from conftest import bank, ghs, mk, wallet
 from mmbus.canonical import CanonicalMessage
 from mmbus.engine import (
-    BACKOFF_FACTOR,
     CorruptJournal,
     IllegalTransition,
     Journal,
     ProcessEngine,
-    RETRY_LIMIT,
     SagaState,
-    TIMEOUT_TICKS,
     fold_records,
     load_journal,
     next_state,
@@ -26,23 +25,33 @@ B1 = bank("ABBANK", "ACC200")
 
 
 class Loop:
-    """Engine plus captured emissions and timers, clock under test control."""
+    """Engine plus the steps it returns, applied as the simulator does: journal, emit, arm a timer."""
 
     def __init__(self, path=None):
         self.tick = 0
         self.emitted: list[CanonicalMessage] = []
         self.timers: list[tuple[int, str, str]] = []
         self.journal = Journal(path)
-        self.engine = ProcessEngine(
-            self.journal,
-            now=lambda: self.tick,
-            emit=self.emitted.append,
-            arm_timer=lambda deadline, saga, cmd: self.timers.append((deadline, saga, cmd)),
-        )
+        self.engine = ProcessEngine(self.journal)
+
+    def apply(self, step):
+        if step is None:
+            return
+        record, msg, deadline = step
+        self.journal.append(record)
+        if msg is not None:
+            self.emitted.append(msg)
+        if deadline is not None:
+            self.timers.append((deadline, record["saga"], msg.message_id))
 
     def submit(self, ref="c-1", amount=5000):
-        msg = mk("transfer.request", {"from": W1, "to": B1, "amount": ghs(amount), "client_ref": ref}, mid=f"in-{ref}")
-        return self.engine.submit(msg)
+        """Returns (saga_id, step); the step is None when the client_ref is deduped."""
+        saga_id, step = self.engine.submit(request(ref, amount), self.tick)
+        self.apply(step)
+        return saga_id, step
+
+    def timeout(self, saga_id, cmd_id):
+        self.apply(self.engine.on_timeout(saga_id, cmd_id, self.tick))
 
     def last_cmd(self) -> CanonicalMessage:
         return self.emitted[-1]
@@ -51,25 +60,29 @@ class Loop:
         cmd = self.last_cmd()
         body = {"saga": cmd.body["saga"], "cmd": cmd.message_id}
         body.update(extra or {})
-        self.engine.on_reply(mk(msg_type, body, mid=f"r-{len(self.emitted)}", src="X", dst="ENGINE"))
+        self.apply(self.engine.on_reply(mk(msg_type, body, mid=f"r-{len(self.emitted)}", src="X", dst="ENGINE"), self.tick))
 
     def saga(self, saga_id):
         return self.engine.sagas[saga_id]
 
 
+def request(ref="c-1", amount=5000):
+    return mk("transfer.request", {"from": W1, "to": B1, "amount": ghs(amount), "client_ref": ref}, mid=f"in-{ref}")
+
+
 def drive_to_completed(loop: Loop, ref="c-1"):
-    saga_id, created = loop.submit(ref)
+    saga_id, _ = loop.submit(ref)
     loop.reply("auth.ok", {"fee": ghs(50)})
     loop.reply("hold.ok")
     loop.reply("credit.ok")
     loop.reply("commit.ok")
-    return saga_id, created
+    return saga_id
 
 
 def test_happy_path_emissions_and_journal():
     loop = Loop()
-    saga_id, created = loop.submit()
-    assert created
+    saga_id, step = loop.submit()
+    assert step is not None
     auth = loop.emitted[0]
     assert auth.msg_type == "authorize.cmd"
     assert auth.body == {"saga": saga_id, "op": "transfer.request", "party": W1, "amount": ghs(5000)}
@@ -111,10 +124,10 @@ def test_happy_path_emissions_and_journal():
 
 def test_client_ref_dedupe_is_total():
     loop = Loop()
-    saga_id, created = loop.submit("c-9")
+    saga_id, step = loop.submit("c-9")
     seq_before, emitted_before = loop.journal.seq, len(loop.emitted)
-    again, created_again = loop.submit("c-9")
-    assert again == saga_id and created and not created_again
+    again, step_again = loop.submit("c-9")
+    assert again == saga_id and step is not None and step_again is None
     assert loop.journal.seq == seq_before
     assert len(loop.emitted) == emitted_before
 
@@ -161,23 +174,23 @@ def test_timeout_retries_same_command_id():
     loop = Loop()
     saga_id, _ = loop.submit()
     first = loop.last_cmd()
-    assert loop.timers == [(TIMEOUT_TICKS, saga_id, first.message_id)]
-    loop.engine.on_timeout(saga_id, first.message_id)
+    assert loop.timers == [(5, saga_id, first.message_id)]
+    loop.timeout(saga_id, first.message_id)
     retry = loop.last_cmd()
     assert retry.message_id == first.message_id
     assert retry.msg_type == "authorize.cmd"
     # backoff doubles the reply window
-    assert loop.timers[-1] == (TIMEOUT_TICKS * BACKOFF_FACTOR, saga_id, first.message_id)
-    loop.engine.on_timeout(saga_id, first.message_id)
-    assert loop.timers[-1][0] == TIMEOUT_TICKS * BACKOFF_FACTOR**2
+    assert loop.timers[-1] == (10, saga_id, first.message_id)
+    loop.timeout(saga_id, first.message_id)
+    assert loop.timers[-1][0] == 20
 
 
 def test_timeout_exhaustion_in_auth_fails():
     loop = Loop()
     saga_id, _ = loop.submit()
     cmd = loop.last_cmd().message_id
-    for _ in range(RETRY_LIMIT):
-        loop.engine.on_timeout(saga_id, cmd)
+    for _ in range(3):
+        loop.timeout(saga_id, cmd)
     saga = loop.saga(saga_id)
     assert saga.state is SagaState.FAILED
     assert saga.reason == "auth_timeout"
@@ -189,8 +202,8 @@ def test_timeout_exhaustion_in_credit_compensates():
     loop.reply("auth.ok", {"fee": ghs(50)})
     loop.reply("hold.ok")
     cmd = loop.last_cmd().message_id
-    for _ in range(RETRY_LIMIT):
-        loop.engine.on_timeout(saga_id, cmd)
+    for _ in range(3):
+        loop.timeout(saga_id, cmd)
     saga = loop.saga(saga_id)
     assert saga.state is SagaState.COMPENSATING
     assert saga.reason == "compensated:credit_timeout"
@@ -204,7 +217,7 @@ def test_release_timeout_keeps_compensation_reason():
     loop.reply("hold.ok")
     loop.reply("credit.err", {"reason": "no_account"})
     release_id = loop.last_cmd().message_id
-    loop.engine.on_timeout(saga_id, release_id)  # a release retry, not a credit timeout
+    loop.timeout(saga_id, release_id)  # a release retry, not a credit timeout
     assert loop.last_cmd().message_id == release_id
     assert loop.saga(saga_id).reason == "compensated:no_account"
     loop.reply("release.ok")
@@ -223,8 +236,8 @@ def test_commit_retries_forever():
     loop.reply("hold.ok")
     loop.reply("credit.ok")
     commit_id = loop.last_cmd().message_id
-    for _ in range(RETRY_LIMIT + 3):
-        loop.engine.on_timeout(saga_id, commit_id)
+    for _ in range(6):  # three past the retry limit
+        loop.timeout(saga_id, commit_id)
         assert loop.last_cmd().message_id == commit_id
     assert loop.saga(saga_id).state is SagaState.COMMIT_PENDING
     loop.reply("commit.ok")
@@ -239,7 +252,7 @@ def test_duplicate_reply_is_stale_noop():
     emitted_before = len(loop.emitted)
     # the same auth.ok lands again: no transition, no emission, no id drift
     body = {"saga": saga_id, "cmd": auth_cmd.message_id, "fee": ghs(50)}
-    loop.engine.on_reply(mk("auth.ok", body, mid="dup-1", src="X", dst="ENGINE"))
+    loop.apply(loop.engine.on_reply(mk("auth.ok", body, mid="dup-1", src="X", dst="ENGINE"), loop.tick))
     assert loop.saga(saga_id).state is SagaState.HOLD_PENDING
     assert len(loop.emitted) == emitted_before
     assert loop.journal.records[-1]["event"]["kind"] == "stale"
@@ -262,9 +275,80 @@ def test_stale_timer_is_ignored():
     old_cmd = loop.last_cmd().message_id
     loop.reply("auth.ok", {"fee": ghs(50)})
     seq_before = loop.journal.seq
-    loop.engine.on_timeout(saga_id, old_cmd)  # timer for the superseded auth command
+    assert loop.engine.on_timeout(saga_id, old_cmd, loop.tick) is None  # timer for the superseded auth command
     assert loop.journal.seq == seq_before
     assert loop.saga(saga_id).state is SagaState.HOLD_PENDING
+
+
+# the replies that bring each command out, from submission on
+_LEADS_TO = {
+    "authorize": [],
+    "hold": [("auth.ok", {"fee": ghs(50)})],
+    "credit": [("auth.ok", {"fee": ghs(50)}), ("hold.ok", None)],
+    "commit": [("auth.ok", {"fee": ghs(50)}), ("hold.ok", None), ("credit.ok", None)],
+    "release": [("auth.ok", {"fee": ghs(50)}), ("hold.ok", None), ("credit.err", {"reason": "no_account"})],
+}
+
+
+@pytest.mark.parametrize("cmd_type", list(_LEADS_TO))
+def test_retry_policy_is_pinned(cmd_type):
+    """Reply windows of 5, 10 and 20 ticks after each send; the third timeout of a capped command exhausts."""
+    loop = Loop()
+    loop.tick = 100
+    saga_id, _ = loop.submit()
+    for kind, extra in _LEADS_TO[cmd_type]:
+        loop.reply(kind, extra)
+    cmd = loop.last_cmd()
+    assert cmd.msg_type == f"{cmd_type}.cmd"
+    windows = []
+    deadline = loop.timers[-1][0]
+    for n in range(1, 6):
+        windows.append(deadline - loop.tick)
+        loop.tick = deadline
+        step = loop.engine.on_timeout(saga_id, cmd.message_id, loop.tick)
+        loop.apply(step)
+        record, msg, deadline = step
+        if cmd_type in ("commit", "release"):
+            assert msg.message_id == cmd.message_id and record["to_state"] == record["from_state"]
+        elif n < 3:
+            assert msg.message_id == cmd.message_id
+        else:
+            assert record["to_state"] == ("COMPENSATING" if cmd_type == "credit" else "FAILED")
+            assert msg.msg_type == ("release.cmd" if cmd_type == "credit" else "saga.result")
+            break
+    if cmd_type in ("commit", "release"):
+        assert windows == [5, 10, 20, 40, 80]
+    else:
+        assert windows == [5, 10, 20]
+
+
+def test_engine_never_writes(tmp_path):
+    """submit, on_reply, on_timeout and recover only return steps; the journal grows as they are applied."""
+    path = str(tmp_path / "journal.ndjson")
+    loop = Loop(path)
+
+    def unwritten():
+        return loop.journal.seq, len(loop.journal.records), os.path.getsize(path)
+
+    before = unwritten()
+    saga_id, step = loop.engine.submit(request(), loop.tick)
+    assert unwritten() == before
+    loop.apply(step)
+    auth = loop.last_cmd()
+    before = unwritten()
+    ok = mk("auth.ok", {"saga": saga_id, "cmd": auth.message_id, "fee": ghs(50)}, mid="r-1", src="X", dst="ENGINE")
+    step = loop.engine.on_reply(ok, loop.tick)
+    assert unwritten() == before
+    loop.apply(step)
+    before = unwritten()
+    step = loop.engine.on_timeout(saga_id, loop.last_cmd().message_id, loop.tick)
+    assert unwritten() == before
+    loop.apply(step)
+    assert loop.journal.seq == 3
+    before = unwritten()
+    _, steps = ProcessEngine.recover(loop.journal.records, loop.journal, loop.tick)
+    assert len(steps) == 1 and unwritten() == before
+    loop.journal.close()
 
 
 def test_transition_table_rejects_off_table_events():
@@ -287,14 +371,10 @@ def test_recovery_reemits_original_command_ids(tmp_path):
 
     records = load_journal(path)
     resumed_loop = Loop()  # fresh in-memory journal for the recovered engine
-    engine, resumed = ProcessEngine.recover(
-        records,
-        resumed_loop.journal,
-        now=lambda: 40,
-        emit=resumed_loop.emitted.append,
-        arm_timer=lambda d, s, c: resumed_loop.timers.append((d, s, c)),
-    )
-    assert resumed == 1
+    engine, steps = ProcessEngine.recover(records, resumed_loop.journal, 40)
+    for step in steps:
+        resumed_loop.apply(step)
+    assert len(steps) == 1
     reemitted = resumed_loop.emitted[-1]
     assert reemitted.msg_type == "credit.cmd"
     assert reemitted.message_id == credit_cmd.message_id
@@ -310,10 +390,8 @@ def test_recovery_skips_terminal_sagas(tmp_path):
     drive_to_completed(loop)
     loop.journal.close()
     records = load_journal(path)
-    sink = []
-    engine, resumed = ProcessEngine.recover(records, Journal(None), lambda: 0, sink.append, lambda *a: None)
-    assert resumed == 0
-    assert sink == []
+    engine, steps = ProcessEngine.recover(records, Journal(None), 0)
+    assert steps == []  # nothing resumed, nothing re-emitted
     assert engine.pending() == []
 
 

@@ -7,7 +7,7 @@ import os
 
 import pytest
 
-from conftest import SCENARIO_DIR, scenario_path
+from conftest import CRASH_TWICE_CMDS, SCENARIO_DIR, crash_twice_cell, scenario_path
 from mmbus.engine import fold_records, saga_row, truncate_last_record
 from mmbus.harness import (
     InvalidScenario,
@@ -156,21 +156,10 @@ def test_live_rows_equal_replayed_rows(scenario):
     assert [saga_row(replayed[saga_id]) for saga_id in sorted(replayed)] == sim.engine.saga_rows()
 
 
-def _crash_twice_cell(cmd_type, torn_tail):
-    """The fault-matrix base with the bus crashing on the first two dispatches of one command type."""
-    with open(scenario_path("fault_matrix"), encoding="utf-8") as fh:
-        obj = json.load(fh)["base"]
-    obj["torn_tail"] = torn_tail
-    obj["faults"] = [
-        {"msg_type": f"{cmd_type}.cmd", "occurrence": n, "action": "crash_bus"} for n in (1, 2)
-    ]
-    return scenario_from_obj(obj, f"{cmd_type}_crash_bus_twice")
-
-
 @pytest.mark.parametrize("torn_tail", [False, True], ids=["untorn", "torn"])
-@pytest.mark.parametrize("cmd_type", ["authorize", "hold", "credit", "commit", "release"])
+@pytest.mark.parametrize("cmd_type", CRASH_TWICE_CMDS)
 def test_crash_during_recovery_recovers_again(tmp_path, cmd_type, torn_tail):
-    report, _ = run_scenario(_crash_twice_cell(cmd_type, torn_tail), out_dir=str(tmp_path))
+    report, _ = run_scenario(crash_twice_cell(cmd_type, torn_tail), out_dir=str(tmp_path))
     checks = verify_run(str(tmp_path / "report.json"), str(tmp_path / "ledgers"))
     assert [name for name, _, _ in checks] == CHECK_NAMES
     assert all(ok for _, ok, _ in checks), [c for c in checks if not c[1]]
